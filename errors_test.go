@@ -94,24 +94,50 @@ func TestErrorTaxonomyDeploy(t *testing.T) {
 	}
 }
 
-// TestOptionScope verifies that the unified option set narrows per
-// deployment kind: dispatcher-only options are rejected by
-// DeployBridge with a descriptive error instead of being ignored.
+// TestOptionScope verifies that the one option set applies to both
+// deployment kinds — a bridge is a one-case dispatcher — so an option
+// once scoped to dispatchers takes effect on a bridge:
+// WithTrialParseOnly moves the bridge's entry classification from the
+// signature fast path to trial parsing.
 func TestOptionScope(t *testing.T) {
-	fw, err := starlink.New(starlink.Simulated())
-	if err != nil {
-		t.Fatal(err)
+	for _, trial := range []bool{false, true} {
+		rt := starlink.Simulated()
+		sim := rt.Backend().(*simnet.Net)
+		fw, err := starlink.New(rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts []starlink.Option
+		if trial {
+			opts = append(opts, starlink.WithTrialParseOnly())
+		}
+		b, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcNode, _ := sim.NewNode("10.0.0.9")
+		if _, err := dnssd.NewResponder(svcNode, "printer.local", "service:printer://10.0.0.9:515"); err != nil {
+			t.Fatal(err)
+		}
+		cliNode, _ := sim.NewNode("10.0.0.1")
+		ua := slp.NewUserAgent(cliNode, slp.WithConvergenceWait(200*time.Millisecond))
+		var urls []string
+		ua.Lookup("service:printer", func(r slp.LookupResult) { urls = r.URLs })
+		sim.RunToQuiescence()
+		m := b.Metrics()
+		_ = b.Close()
+		if len(urls) != 1 || m.Sessions.Completed != 1 {
+			t.Fatalf("trial=%v: urls=%v sessions=%+v", trial, urls, m.Sessions)
+		}
+		if trial && (m.Dispatch.SlowPath == 0 || m.Dispatch.FastPath != 0) {
+			t.Fatalf("WithTrialParseOnly bridge: fast=%d slow=%d, want trial parsing only",
+				m.Dispatch.FastPath, m.Dispatch.SlowPath)
+		}
+		if !trial && (m.Dispatch.FastPath == 0 || m.Dispatch.SlowPath != 0) {
+			t.Fatalf("default bridge: fast=%d slow=%d, want the signature fast path",
+				m.Dispatch.FastPath, m.Dispatch.SlowPath)
+		}
 	}
-	if _, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour",
-		starlink.WithTrialParseOnly()); err == nil {
-		t.Fatal("dispatcher-only option must be rejected by DeployBridge")
-	}
-	// The same option is accepted by DeployDispatcher.
-	d, err := fw.DeployDispatcher(context.Background(), "10.0.0.6", nil, starlink.WithTrialParseOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d.Close()
 }
 
 // TestErrOverloadedObservable drives the max-sessions bound and

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"starlink/internal/core"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
+	"starlink/internal/provision"
 	"starlink/internal/simnet"
 )
 
@@ -44,8 +44,8 @@ func RunParallelUnit(clients int, seed int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fw := core.NewWithRegistry(sim, reg)
-	bridge, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour")
+	bridge, err := provision.Deploy(context.Background(), reg, sim, "10.0.0.5",
+		provision.WithCases("slp-to-bonjour"))
 	if err != nil {
 		return 0, err
 	}
@@ -70,7 +70,7 @@ func RunParallelUnit(clients int, seed int64) (int, error) {
 		return 0, err
 	}
 	sim.RunToQuiescence()
-	st := bridge.Engine.Stats()
+	st := bridge.Stats()["slp-to-bonjour"]
 	if st.Completed != clients {
 		return st.Completed, fmt.Errorf("bench: unit completed %d of %d sessions (failed=%d rejected=%d dropped=%d)",
 			st.Completed, clients, st.Failed, st.Rejected, st.Dropped)

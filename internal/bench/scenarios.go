@@ -7,11 +7,11 @@ import (
 	"sync"
 	"time"
 
-	"starlink/internal/core"
 	"starlink/internal/engine"
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
+	"starlink/internal/provision"
 	"starlink/internal/registry"
 	"starlink/internal/simnet"
 )
@@ -149,11 +149,11 @@ func RunBridge(caseName string, seed int64) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	fw := core.NewWithRegistry(sim, reg)
 	var stats []engine.SessionStats
-	bridge, err := fw.DeployBridge(context.Background(), "10.0.0.5", caseName,
-		engine.WithObserver(func(s engine.SessionStats) { stats = append(stats, s) }),
-		engine.WithWindowJitter(BridgeSLPWindowJitter, seed*6007))
+	bridge, err := provision.Deploy(context.Background(), reg, sim, "10.0.0.5",
+		provision.WithCases(caseName),
+		provision.WithSessionObserver(func(_ string, s engine.SessionStats) { stats = append(stats, s) }),
+		provision.WithEngineOptions(engine.WithWindowJitter(BridgeSLPWindowJitter, seed*6007)))
 	if err != nil {
 		return 0, err
 	}

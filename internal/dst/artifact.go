@@ -63,8 +63,13 @@ func FormatArtifact(r *Result) string {
 		r.Dispatch.Dispatched, r.Dispatch.Ambiguous, r.Dispatch.Unroutable, r.Dispatch.ParseErrors)
 	for _, c := range sortedKeys(r.Probes) {
 		p := r.Probes[c]
-		fmt.Fprintf(&b, "probe %s live=%d sem=%d lanedepth=%d\n", c, p.Live, p.SemInUse, p.LaneDepth)
+		fmt.Fprintf(&b, "probe %s live=%d sem=%d\n", c, p.Live, p.SemInUse)
 	}
+	depth := 0
+	for _, ct := range r.Lanes.Counters {
+		depth += ct.Depth
+	}
+	fmt.Fprintf(&b, "lanes depth=%d\n", depth)
 	for _, c := range sortedKeys(r.Clients) {
 		t := r.Clients[c]
 		fmt.Fprintf(&b, "clients %s done=%d hits=%d\n", c, t.Done, t.Hits)

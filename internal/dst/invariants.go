@@ -39,10 +39,8 @@ func (r *Result) Counter(name string) int {
 	case "unroutable":
 		return r.Dispatch.Unroutable
 	case "shed":
-		for _, d := range r.Lanes {
-			for l := range d.Counters {
-				sum += int(d.Counters[l].Shed)
-			}
+		for l := range r.Lanes.Counters {
+			sum += int(r.Lanes.Counters[l].Shed)
 		}
 	default:
 		for _, c := range r.Stats {
@@ -92,12 +90,11 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 	}
 
 	// session-leak: at quiescence no engine may still hold a session
-	// slot, a semaphore token, or a queued payload.
+	// slot or a semaphore token (queued payloads: lane-conservation).
 	for _, c := range sortedKeys(r.Probes) {
 		p := r.Probes[c]
-		if p.Live != 0 || p.SemInUse != 0 || p.LaneDepth != 0 {
-			bad("session-leak", "%s: live=%d sem=%d lanedepth=%d at quiescence",
-				c, p.Live, p.SemInUse, p.LaneDepth)
+		if p.Live != 0 || p.SemInUse != 0 {
+			bad("session-leak", "%s: live=%d sem=%d at quiescence", c, p.Live, p.SemInUse)
 		}
 	}
 	for _, c := range sortedKeys(r.Stats) {
@@ -112,19 +109,16 @@ func checkInvariants(sc *Scenario, r *Result) []Violation {
 		bad("lease-balance", "%+d pooled buffer leases outstanding after teardown", r.LeaseDelta)
 	}
 
-	// lane-conservation: per case and lane, every admitted payload was
-	// processed, evicted or drained — none vanished, none remain.
-	for _, c := range sortedKeys(r.Lanes) {
-		d := r.Lanes[c]
-		for l := range d.Counters {
-			ct := d.Counters[l]
-			if out := ct.Processed + ct.Evicted + ct.Drained; ct.Admitted != out {
-				bad("lane-conservation", "%s/%s: admitted %d != processed %d + evicted %d + drained %d",
-					c, lanes.Lane(l), ct.Admitted, ct.Processed, ct.Evicted, ct.Drained)
-			}
-			if ct.Depth != 0 {
-				bad("lane-conservation", "%s/%s: depth %d at quiescence", c, lanes.Lane(l), ct.Depth)
-			}
+	// lane-conservation: per lane of the host's queues, every admitted
+	// payload was processed, evicted or drained — none vanished, none
+	// remain.
+	for l, ct := range r.Lanes.Counters {
+		if out := ct.Processed + ct.Evicted + ct.Drained; ct.Admitted != out {
+			bad("lane-conservation", "%s: admitted %d != processed %d + evicted %d + drained %d",
+				lanes.Lane(l), ct.Admitted, ct.Processed, ct.Evicted, ct.Drained)
+		}
+		if ct.Depth != 0 {
+			bad("lane-conservation", "%s: depth %d at quiescence", lanes.Lane(l), ct.Depth)
 		}
 	}
 

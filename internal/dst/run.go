@@ -10,7 +10,6 @@ import (
 
 	"starlink/internal/bench"
 	"starlink/internal/composer"
-	"starlink/internal/core"
 	"starlink/internal/engine"
 	"starlink/internal/message"
 	"starlink/internal/netapi"
@@ -105,11 +104,12 @@ type Result struct {
 
 	Stats    map[string]engine.Counters
 	Dispatch provision.DispatchCounters
-	Lanes    map[string]engine.LaneDump
-	Probes   map[string]engine.Probe
-	Started  map[string]int
-	Ended    map[string]int
-	Clients  map[string]ClientTally
+	// Lanes is the host's ingest-lane accounting, shared by every case.
+	Lanes   engine.LaneDump
+	Probes  map[string]engine.Probe
+	Started map[string]int
+	Ended   map[string]int
+	Clients map[string]ClientTally
 	// LeaseDelta is outstanding pooled buffers after teardown minus
 	// before setup; nonzero means a leak (or double release).
 	LeaseDelta int64
@@ -196,12 +196,11 @@ func Run(sc *Scenario, seed int64, cfg Config) (*Result, error) {
 	if maxSessions == 0 {
 		maxSessions = 1024
 	}
-	fw := core.NewWithRegistry(sim, reg)
-	// Host every loaded case (nil filter): multicast entry traffic may
-	// classify into any of them, and the invariants account per case.
-	// The worker count is pinned — the default tracks GOMAXPROCS,
+	// Host every loaded case (no case filter): multicast entry traffic
+	// may classify into any of them, and the invariants account per
+	// case. The worker count is pinned — the default tracks GOMAXPROCS,
 	// which must not influence a deterministic schedule.
-	d, err := fw.DeployDispatcher(context.Background(), bridgeIP, nil,
+	d, err := provision.Deploy(context.Background(), reg, sim, bridgeIP,
 		provision.WithHooks(col.hooks()),
 		provision.WithEngineOptions(
 			engine.WithIngestWorkers(4),

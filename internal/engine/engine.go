@@ -14,7 +14,7 @@
 //     and transmits it with the color's network semantics — unicast
 //     back to the session origin for replies.
 //
-// One Engine hosts one deployed merged automaton; each incoming
+// One Engine runs one deployed merged automaton; each incoming
 // initiator request opens an independent session, and the engine is a
 // concurrent session runtime — the paper's "concurrent legacy clients
 // are bridged in parallel" made literal:
@@ -26,10 +26,11 @@
 //     goroutine fed by a bounded inbox channel; timers and requester
 //     payloads post events to the inbox instead of touching session
 //     state;
-//   - inbound entry payloads are parsed and routed by a bounded ingest
-//     worker pool, and a max-sessions semaphore rejects (rather than
-//     accumulates) load beyond the configured ceiling, so overload
-//     degrades gracefully;
+//   - inbound entry payloads are queued on the node's Host — one lane
+//     scheduler and ingest worker pool shared by every case the node
+//     hosts — which parses and routes them, and a max-sessions
+//     semaphore rejects (rather than accumulates) load beyond the
+//     configured ceiling, so overload degrades gracefully;
 //   - on runtimes with a virtual clock the engine reports in-flight
 //     work through netapi.WorkTracker, which keeps simulated runs
 //     deterministic and engine state safe to read after RunUntil.
@@ -38,7 +39,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,15 +64,15 @@ import (
 type State int32
 
 const (
-	// StateStarting is the window between New and Start: no listeners
-	// are bound and no sessions are admitted yet.
+	// StateStarting is the window between New and Start: no sessions
+	// are admitted yet.
 	StateStarting State = iota
 	// StateRunning accepts entry payloads and admits new sessions.
 	StateRunning
 	// StateDraining admits no new sessions but keeps delivering
 	// payloads to the live ones so they can finish.
 	StateDraining
-	// StateClosed has released every listener, worker and session.
+	// StateClosed has released every queued job and session.
 	StateClosed
 )
 
@@ -196,28 +196,59 @@ type Hooks struct {
 	Drop func(origin netapi.Addr, reason error)
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
+// config is the compiled form of an option list. One option type
+// serves both layers: New reads the per-case settings, NewHost the
+// host-level ones, so a deployment can hand the same list to both.
+type config struct {
+	caseConfig
+	hostConfig
+}
+
+// caseConfig holds the per-case settings of an Engine.
+type caseConfig struct {
+	vars         map[string]string
+	tfuncs       *translation.FuncRegistry
+	recvTimeout  time.Duration
+	windowJitter time.Duration
+	jitterSeed   int64
+	hooks        []Hooks
+	maxSessions  int
+	shardCount   int
+	traceRing    int
+	baseCtx      context.Context
+}
+
+// hostConfig holds the settings of a Host.
+type hostConfig struct {
+	ingestWorkers int
+	lanePolicy    lanes.Policy
+}
+
+// Option configures an Engine or a Host.
+type Option func(*config)
 
 // WithVars sets bridge environment variables available to translation
 // constants (${bridge.host}, ${bridge.http.port}, ...).
 func WithVars(vars map[string]string) Option {
-	return func(e *Engine) {
+	return func(c *config) {
+		if c.vars == nil { // a host's config carries no vars
+			c.vars = map[string]string{}
+		}
 		for k, v := range vars {
-			e.vars[k] = v
+			c.vars[k] = v
 		}
 	}
 }
 
 // WithTranslationFuncs overrides the T-function registry.
 func WithTranslationFuncs(funcs *translation.FuncRegistry) Option {
-	return func(e *Engine) { e.tfuncs = funcs }
+	return func(c *config) { c.tfuncs = funcs }
 }
 
 // WithReceiveTimeout bounds how long a session waits at a receive
 // state with no convergence window before failing.
 func WithReceiveTimeout(d time.Duration) Option {
-	return func(e *Engine) { e.recvTimeout = d }
+	return func(c *config) { c.recvTimeout = d }
 }
 
 // WithWindowJitter perturbs every convergence window by a uniform
@@ -227,7 +258,7 @@ func WithReceiveTimeout(d time.Duration) Option {
 // number, so concurrent sessions never share a random stream and
 // simulated runs stay reproducible.
 func WithWindowJitter(d time.Duration, seed int64) Option {
-	return func(e *Engine) { e.windowJitter, e.jitterSeed = d, seed }
+	return func(c *config) { c.windowJitter, c.jitterSeed = d, seed }
 }
 
 // WithObserver registers a callback invoked as each session ends.
@@ -237,47 +268,48 @@ func WithObserver(fn func(SessionStats)) Option {
 	return WithHooks(Hooks{SessionEnd: fn})
 }
 
-// WithMaxSessions bounds the number of concurrently live sessions.
-// Initiator requests beyond the bound are rejected (counted in
-// Rejected) instead of queued, so a flood degrades into dropped
-// requests rather than unbounded memory growth. Values < 1 are
-// ignored and keep the default (4096).
+// WithMaxSessions bounds the number of concurrently live sessions of
+// one case. Initiator requests beyond the bound are rejected (counted
+// in Rejected) instead of queued, so a flood degrades into dropped
+// requests rather than unbounded memory growth. Values < 1 are ignored
+// and keep the default (4096).
 func WithMaxSessions(n int) Option {
-	return func(e *Engine) {
+	return func(c *config) {
 		if n > 0 {
-			e.maxSessions = n
+			c.maxSessions = n
 		}
 	}
 }
 
-// WithIngestWorkers sets the size of the worker pool that parses and
-// routes inbound entry payloads.
+// WithIngestWorkers sets the size of the host's worker pool that
+// parses and routes inbound entry payloads for every hosted case
+// (host-level: read by NewHost).
 func WithIngestWorkers(n int) Option {
-	return func(e *Engine) {
+	return func(c *config) {
 		if n > 0 {
-			e.ingestWorkers = n
+			c.ingestWorkers = n
 		}
 	}
 }
 
-// WithShardCount sets the number of session-table shards.
+// WithShardCount sets the number of session-table shards of one case.
 func WithShardCount(n int) Option {
-	return func(e *Engine) {
+	return func(c *config) {
 		if n > 0 {
-			e.shardCount = n
+			c.shardCount = n
 		}
 	}
 }
 
-// WithContext ties the engine's lifetime to ctx: when ctx is
-// cancelled the engine closes, tearing down in-flight sessions. Every
-// session derives its own context from ctx, so cancellation reaches
-// each session goroutine directly. The default is context.Background()
-// (lifetime governed only by Close/Shutdown).
+// WithContext parents every session context on ctx, so cancelling it
+// reaches each session goroutine directly and tears the session down.
+// Closing the engine itself on cancellation is the deployment's job
+// (provision.Deploy arms one watcher for the whole node). The default
+// is context.Background().
 func WithContext(ctx context.Context) Option {
-	return func(e *Engine) {
+	return func(c *config) {
 		if ctx != nil {
-			e.baseCtx = ctx
+			c.baseCtx = ctx
 		}
 	}
 }
@@ -285,7 +317,7 @@ func WithContext(ctx context.Context) Option {
 // WithHooks registers a set of lifecycle hooks. Hooks compose: every
 // registered set is invoked, in registration order.
 func WithHooks(h Hooks) Option {
-	return func(e *Engine) { e.hooks = append(e.hooks, h) }
+	return func(c *config) { c.hooks = append(c.hooks, h) }
 }
 
 // WithTraceRing sizes the per-session flight recorder: the number of
@@ -295,52 +327,33 @@ func WithHooks(h Hooks) Option {
 // Values < 0 keep the default (64). Stage latency histograms are
 // unaffected: they are always on.
 func WithTraceRing(events int) Option {
-	return func(e *Engine) {
+	return func(c *config) {
 		if events >= 0 {
-			e.traceRing = events
+			c.traceRing = events
 		}
 	}
 }
 
-// WithLanePolicy bounds and parameterizes the lane-prioritized ingest
-// queues: per-lane ring capacity, the high/low pressure watermarks on
-// total depth, and the shed mode applied while pressured. Zero fields
-// are filled from lanes.DefaultPolicy; the filled policy must validate
-// (New rejects inverted or out-of-range watermarks). The configured
-// totals are divided across the ingest workers' queues.
+// WithLanePolicy bounds and parameterizes the host's lane-prioritized
+// ingest queues: per-lane ring capacity, the high/low pressure
+// watermarks on total depth, and the shed mode applied while
+// pressured (host-level: read by NewHost). Zero fields are filled from
+// lanes.DefaultPolicy; the filled policy must validate (NewHost
+// rejects inverted or out-of-range watermarks). The configured totals
+// are divided across the ingest workers' queues.
 func WithLanePolicy(p lanes.Policy) Option {
-	return func(e *Engine) { e.lanePolicy = p }
+	return func(c *config) { c.lanePolicy = p }
 }
 
-// WithFlowGate supplies the transport flow gate the ingest queues
-// pause while pressured: the engine's entry listeners (and, under a
-// dispatcher, the dispatcher's shared listeners) park their read loops
-// while it is blocked. A dispatcher shares one gate across its engines;
-// absent this option the engine creates its own.
-func WithFlowGate(g *netapi.FlowGate) Option {
-	return func(e *Engine) {
-		if g != nil {
-			e.gate = g
-		}
-	}
-}
-
-// WithEgressTable registers the local address of every requester
-// channel the engine's sessions open in t for the requesters'
-// lifetime. A multi-case dispatcher shares one table across its
-// engines so it can recognise — and not re-bridge — the deployment's
-// own outbound requests arriving back on shared multicast listeners.
-func WithEgressTable(t *netengine.EgressTable) Option {
-	return func(e *Engine) { e.egress = t }
-}
-
-// ingestJob is one inbound entry payload awaiting parse + route. It
-// carries one work-tracker token, and — when the runtime delivered the
+// ingestJob is one inbound entry payload awaiting parse + route by
+// its engine. It holds one work-tracker token and one count on the
+// engine's pending group, and — when the runtime delivered the
 // payload in a leased buffer — the lease, which the ingest worker
 // releases right after the parse (the parser never aliases its input)
 // or on any drop path. key is the payload's routing key, computed once
 // on the listener hot path.
 type ingestJob struct {
+	eng   *Engine
 	proto string
 	key   string
 	data  []byte
@@ -376,65 +389,40 @@ type noTracker struct{}
 func (noTracker) WorkAdd()  {}
 func (noTracker) WorkDone() {}
 
-// Engine executes one merged automaton on one bridge node.
+// Engine executes one merged automaton on a bridge Host: the per-case
+// program, codecs, session table, admission bound, counters, hooks,
+// drain state and stage histograms. Ingress scheduling — lanes,
+// workers, flow gate — belongs to the Host.
 type Engine struct {
-	node    netapi.Node
-	net     *netengine.Engine
+	caseConfig
+	host    *Host
 	merged  *merge.Merged
 	program []merge.Step
 	codecs  map[string]*Codec
-	tfuncs  *translation.FuncRegistry
-	vars    map[string]string
-	egress  *netengine.EgressTable
-
-	recvTimeout  time.Duration
-	windowJitter time.Duration
-	jitterSeed   int64
-	hooks        []Hooks
-
-	maxSessions   int
-	ingestWorkers int
-	shardCount    int
-	traceRing     int
-	lanePolicy    lanes.Policy
 
 	// Stage latency histograms, always on: one per pipeline stage plus
 	// the whole-session distribution. Lock-free; see internal/hist.
 	stageHists [trace.NumStages]*hist.Histogram
 	sessHist   *hist.Histogram
-	// laneHists measures per-lane queue wait: listener arrival to
-	// ingest-worker pickup.
-	laneHists [lanes.NumLanes]*hist.Histogram
 
-	// Lifecycle. state moves strictly forward; baseCtx is the caller's
-	// lifetime context (WithContext), ctx/cancel the engine's own
-	// derivation of it that every session context hangs off.
-	state   atomic.Int32
-	baseCtx context.Context
-	ctx     context.Context
-	cancel  context.CancelFunc
+	// Lifecycle. state moves strictly forward; ctx/cancel derive from
+	// the caller's WithContext and every session context hangs off them.
+	state  atomic.Int32
+	ctx    context.Context
+	cancel context.CancelFunc
 	// drained is closed (once) when the engine is draining and the
 	// last live session has finished.
 	drained   chan struct{}
 	drainOnce sync.Once
 
-	tracker netapi.WorkTracker
-	table   *sessionTable
-	sem     chan struct{} // max-sessions semaphore
-	// laneQs holds one bounded lane-prioritized queue per ingest
-	// worker; payloads are assigned by routing key, so payloads from
-	// one origin are always parsed and routed in arrival order. gate is
-	// the flow gate the queues pause at their high watermark — the
-	// entry listeners' read loops park on it.
-	laneQs     []*lanes.Queue[ingestJob]
-	gate       *netapi.FlowGate
-	quit       chan struct{}
-	workerWG   sync.WaitGroup
+	table *sessionTable
+	sem   chan struct{} // max-sessions semaphore
+	// pending counts this engine's jobs on the host — queued or on a
+	// worker — so Close can wait until none can still admit a session.
+	pending    sync.WaitGroup
 	sessionWG  sync.WaitGroup
-	closeMu    sync.RWMutex // serialises onEntry's token+enqueue against Close
+	closeMu    sync.RWMutex // serialises Inject's tokens+enqueue against Close
 	sessionSeq atomic.Uint64
-
-	entries []netapi.Closer
 
 	// Counters exposed for tests and diagnostics. They are updated
 	// under statsMu; read them via Stats, or directly only while the
@@ -449,7 +437,7 @@ type Engine struct {
 	DrainRejected int
 
 	// ingestTotal/ingestBatched count entry payloads on the ingest hot
-	// path (onEntry), where taking statsMu per payload would serialise
+	// path (Inject), where taking statsMu per payload would serialise
 	// the listeners — atomics instead.
 	ingestTotal   atomic.Uint64
 	ingestBatched atomic.Uint64
@@ -458,9 +446,10 @@ type Engine struct {
 	obsMu sync.Mutex
 }
 
-// New builds an engine for the merged automaton. codecs must contain
-// an entry for every member protocol.
-func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts ...Option) (*Engine, error) {
+// New builds an engine for the merged automaton on host. codecs must
+// contain an entry for every member protocol. Host-level options are
+// ignored here; NewHost reads them.
+func New(host *Host, merged *merge.Merged, codecs map[string]*Codec, opts ...Option) (*Engine, error) {
 	program, err := merged.Compile()
 	if err != nil {
 		return nil, err
@@ -482,66 +471,36 @@ func New(node netapi.Node, merged *merge.Merged, codecs map[string]*Codec, opts 
 	if err := merged.CheckEquivalences(specs); err != nil {
 		return nil, err
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
+	c := config{caseConfig: caseConfig{
+		tfuncs:      translation.NewFuncRegistry(),
+		vars:        map[string]string{"bridge.host": host.node.IP()},
+		recvTimeout: 30 * time.Second,
+		maxSessions: defaultMaxSessions,
+		shardCount:  defaultShardCount,
+		traceRing:   defaultTraceRing,
+		baseCtx:     context.Background(),
+	}}
+	for _, o := range opts {
+		o(&c)
 	}
-	if workers > 8 {
-		workers = 8
+	if err := merged.Logic.Validate(c.tfuncs); err != nil {
+		return nil, serrors.Mark(err, serrors.ErrModelInvalid)
 	}
 	e := &Engine{
-		node:          node,
-		merged:        merged,
-		program:       program,
-		codecs:        codecs,
-		tfuncs:        translation.NewFuncRegistry(),
-		vars:          map[string]string{"bridge.host": node.IP()},
-		recvTimeout:   30 * time.Second,
-		maxSessions:   defaultMaxSessions,
-		ingestWorkers: workers,
-		shardCount:    defaultShardCount,
-		traceRing:     defaultTraceRing,
-		baseCtx:       context.Background(),
-		drained:       make(chan struct{}),
+		caseConfig: c.caseConfig,
+		host:       host,
+		merged:     merged,
+		program:    program,
+		codecs:     codecs,
+		drained:    make(chan struct{}),
 	}
 	for i := range e.stageHists {
 		e.stageHists[i] = &hist.Histogram{}
 	}
 	e.sessHist = &hist.Histogram{}
-	for i := range e.laneHists {
-		e.laneHists[i] = &hist.Histogram{}
-	}
-	for _, o := range opts {
-		o(e)
-	}
-	if err := merged.Logic.Validate(e.tfuncs); err != nil {
-		return nil, serrors.Mark(err, serrors.ErrModelInvalid)
-	}
-	e.lanePolicy = e.lanePolicy.WithDefaults()
-	if err := e.lanePolicy.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", merged.Name, err)
-	}
-	if e.gate == nil {
-		e.gate = netapi.NewFlowGate()
-	}
-	// The network engine gates the entry listeners it opens for Start;
-	// a dispatcher gates its shared listeners with the same gate it
-	// passed via WithFlowGate.
-	e.net = netengine.New(node, netengine.WithGate(e.gate))
 	e.ctx, e.cancel = context.WithCancel(e.baseCtx)
 	e.table = newSessionTable(e.shardCount)
 	e.sem = make(chan struct{}, e.maxSessions)
-	perWorker := e.lanePolicy.Scale(e.ingestWorkers)
-	e.laneQs = make([]*lanes.Queue[ingestJob], e.ingestWorkers)
-	for i := range e.laneQs {
-		e.laneQs[i] = lanes.NewQueue[ingestJob](perWorker, e.gate)
-	}
-	e.quit = make(chan struct{})
-	if wt, ok := node.(netapi.WorkTracker); ok {
-		e.tracker = wt
-	} else {
-		e.tracker = noTracker{}
-	}
 	return e, nil
 }
 
@@ -583,73 +542,16 @@ func (e *Engine) bump(counter *int) {
 	e.statsMu.Unlock()
 }
 
-// Start opens the entry listeners and the ingest worker pool. The
-// bridge is then transparently deployed: legacy clients of the
-// initiator protocol reach it via their normal multicast groups/ports.
-func (e *Engine) Start() error {
-	entryColors, err := e.merged.EntryProtocols()
-	if err != nil {
-		return err
-	}
-	// Deterministic order: initiator first, then program order.
-	opened := map[string]bool{}
-	for _, step := range e.program {
-		color, isEntry := entryColors[step.Protocol]
-		if !isEntry || opened[step.Protocol] {
-			continue
-		}
-		opened[step.Protocol] = true
-		proto := step.Protocol
-		codec := e.codecs[proto]
-		closer, err := e.net.Listen(color, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
-			e.onEntry(proto, data, src, lease)
-		})
-		if err != nil {
-			e.closeEntries()
-			return fmt.Errorf("engine: %s: %w", e.merged.Name, err)
-		}
-		e.entries = append(e.entries, closer)
-	}
-	e.startWorkers()
-	e.startLifecycle()
-	return nil
-}
-
-// startLifecycle flips the engine to Running and arms the context
-// watcher: cancelling the engine's lifetime context closes it (and
-// with it every per-session context).
-func (e *Engine) startLifecycle() {
+// Start flips the engine to Running. It binds nothing: entry payloads
+// arrive through Inject from whoever owns the listeners (a
+// provisioning dispatcher), and are parsed and routed by the host's
+// workers.
+func (e *Engine) Start() {
 	e.state.CompareAndSwap(int32(StateStarting), int32(StateRunning))
-	go func() {
-		select {
-		case <-e.ctx.Done():
-			_ = e.Close()
-		case <-e.quit:
-		}
-	}()
 }
 
-// StartManaged starts the engine without binding entry listeners: the
-// ingest worker pool runs, but payloads only arrive through Inject.
-// This is the mode used under a provisioning dispatcher, which owns
-// the shared entry listeners for every case it hosts and classifies
-// inbound payloads before handing them to the right engine.
-func (e *Engine) StartManaged() error {
-	e.startWorkers()
-	e.startLifecycle()
-	return nil
-}
-
-func (e *Engine) startWorkers() {
-	for i := range e.laneQs {
-		e.workerWG.Add(1)
-		go e.ingestLoop(e.laneQs[i])
-	}
-}
-
-// Inject feeds an entry payload to the engine as if it had arrived on
-// an entry listener for the protocol: it is parsed and routed by the
-// ingest pool exactly like a listener payload. Safe to call from any
+// Inject feeds an entry payload to the engine: it is queued on the
+// host and parsed and routed by a host worker. Safe to call from any
 // goroutine. lease is the pooled buffer backing data when the caller
 // received it leased (nil otherwise); the engine takes ownership on
 // every path, including refusals. Payloads for an unknown protocol
@@ -667,13 +569,40 @@ func (e *Engine) Inject(proto string, data []byte, src netengine.Source, lease *
 		e.bump(&e.Ignored)
 		return fmt.Errorf("engine: %s: no codec for protocol %q", e.merged.Name, proto)
 	}
+	// The read lock makes the closed check, the tokens and the enqueue
+	// atomic with respect to Close, so no job can slip in after it.
+	e.closeMu.RLock()
 	if e.State() == StateClosed {
+		e.closeMu.RUnlock()
 		if lease != nil {
 			lease.Release()
 		}
 		return serrors.Mark(fmt.Errorf("engine: %s is closed", e.merged.Name), serrors.ErrClosed)
 	}
-	e.onEntry(proto, data, src, lease)
+	e.host.tracker.WorkAdd()
+	e.pending.Add(1)
+	e.ingestTotal.Add(1)
+	if src.Batch > 1 {
+		e.ingestBatched.Add(1)
+	}
+	key := src.RoutingKey()
+	job := ingestJob{eng: e, proto: proto, key: key, data: data, src: src, lease: lease, arrived: time.Now()}
+	lane := e.classifyLane(proto, key, src)
+	verdict, victim := e.host.queue(key).Enqueue(lane, job)
+	// User hooks run outside closeMu: a callback reacting to a shed
+	// (even one that tears the deployment down from a fresh goroutine)
+	// must not deadlock against Close's write lock. The job's pending
+	// count keeps Close waiting until it is settled either way.
+	e.closeMu.RUnlock()
+	switch verdict {
+	case lanes.Evicted:
+		// The new payload was admitted by displacing the oldest queued
+		// item of its lane — possibly another case's; that victim is
+		// the drop.
+		victim.eng.shed(victim, lane)
+	case lanes.Rejected:
+		e.shed(job, lane)
+	}
 	return nil
 }
 
@@ -688,10 +617,12 @@ func (e *Engine) AwaitsEntry(proto, msg, ip string) bool {
 	return e.table.findAwaiting(proto, msg, ip) != nil
 }
 
-// Close stops the engine immediately: entry listeners, ingest workers,
-// and live sessions (their per-session contexts are cancelled),
-// draining every session goroutine before returning. For a graceful
-// stop that lets live sessions finish first, use Shutdown.
+// Close stops the engine immediately: its jobs still queued on the
+// host are settled as drops, jobs already on a worker finish, and live
+// sessions are torn down (their per-session contexts are cancelled),
+// draining every session goroutine before returning. No session is
+// admitted after Close returns. For a graceful stop that lets live
+// sessions finish first, use Shutdown.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	// state is the single source of truth for the lifecycle; the swap
@@ -701,22 +632,10 @@ func (e *Engine) Close() error {
 	if already {
 		return nil
 	}
-	e.closeEntries()
-	close(e.quit)
-	// Closing the queues wakes the ingest workers (Dequeue returns
-	// false), releases any gate hold a pressured queue has taken — so
-	// paused transport read loops wake for teardown — and hands back
-	// the tokens and buffer leases of jobs the workers never picked up.
-	// onEntry holds closeMu.RLock around its token+enqueue, and closed
-	// was flipped under the write lock, so no job can slip in after
-	// this.
-	for _, q := range e.laneQs {
-		q.Close(func(_ lanes.Lane, job ingestJob) {
-			releaseJobLease(&job)
-			e.tracker.WorkDone()
-		})
-	}
-	e.workerWG.Wait()
+	// Inject takes its pending count under closeMu.RLock after checking
+	// the state flipped above, so the group can only shrink from here.
+	e.host.remove(e)
+	e.pending.Wait()
 	for _, s := range e.table.removeAll() {
 		s.cancel()
 	}
@@ -827,13 +746,6 @@ func (e *Engine) hookDrop(origin netapi.Addr, reason error) {
 	}
 }
 
-func (e *Engine) closeEntries() {
-	for _, c := range e.entries {
-		_ = c.Close()
-	}
-	e.entries = nil
-}
-
 // releaseSlot returns a max-sessions semaphore slot.
 func (e *Engine) releaseSlot() { <-e.sem }
 
@@ -857,71 +769,27 @@ func (e *Engine) classifyLane(proto, key string, src netengine.Source) lanes.Lan
 	return lanes.Telemetry
 }
 
-// onEntry accepts a payload arriving on an entry listener: it takes a
-// work token, classifies the payload into its priority lane, and
-// offers it to the lane queue of the ingest worker owning the
-// payload's routing key, so payloads from one origin keep their
-// arrival order. Safe to call from any listener goroutine; the read
-// lock makes the closed-check + token + enqueue atomic with respect
-// to Close, so no token or job can leak past shutdown.
-func (e *Engine) onEntry(proto string, data []byte, src netengine.Source, lease *netapi.Buffer) {
-	e.closeMu.RLock()
-	if e.State() == StateClosed {
-		e.closeMu.RUnlock()
-		if lease != nil {
-			lease.Release()
-		}
-		return
-	}
-	e.tracker.WorkAdd()
-	e.ingestTotal.Add(1)
-	if src.Batch > 1 {
-		e.ingestBatched.Add(1)
-	}
-	key := src.RoutingKey()
-	lane := e.classifyLane(proto, key, src)
-	q := e.laneQs[fnv32a(key)%uint32(len(e.laneQs))]
-	verdict, victim := q.Enqueue(lane, ingestJob{proto: proto, key: key, data: data, src: src, lease: lease, arrived: time.Now()})
-	// User hooks run outside closeMu: a callback reacting to the drop
-	// (even one that tears the deployment down from a fresh goroutine)
-	// must not deadlock against Close's write lock. The work token is
-	// still held through the hook so that on a virtual-clock runtime,
-	// quiescence implies the observers have already seen the drop.
-	e.closeMu.RUnlock()
-	switch verdict {
-	case lanes.Evicted:
-		// The new payload was admitted by displacing the oldest queued
-		// item of its lane; that victim is the drop.
-		e.shedJob(victim, lane)
-	case lanes.Rejected:
-		e.shedJob(ingestJob{src: src, lease: lease}, lane)
-	}
-}
-
-// shedJob accounts one payload shed by a lane queue: its buffer lease
-// is released, the drop is counted and reported as ErrOverloaded, and
-// its work token is returned.
-func (e *Engine) shedJob(job ingestJob, lane lanes.Lane) {
+// shed accounts one payload a lane queue shed: it is settled as a drop
+// and reported as ErrOverloaded. The hook fires before the work token
+// is returned, so on a virtual-clock runtime quiescence implies the
+// observers have seen the drop.
+func (e *Engine) shed(job ingestJob, lane lanes.Lane) {
 	releaseJobLease(&job)
 	e.bump(&e.Dropped)
 	e.hookDrop(job.src.Addr, serrors.Mark(
 		fmt.Errorf("engine: %s: %s lane shed payload from %s", e.merged.Name, lane, job.src.Addr),
 		serrors.ErrOverloaded))
-	e.tracker.WorkDone()
+	e.host.tracker.WorkDone()
+	e.pending.Done()
 }
 
-func (e *Engine) ingestLoop(q *lanes.Queue[ingestJob]) {
-	defer e.workerWG.Done()
-	for {
-		job, lane, ok := q.Dequeue()
-		if !ok {
-			return // queue closed
-		}
-		if !job.arrived.IsZero() {
-			e.laneHists[lane].Record(time.Since(job.arrived))
-		}
-		e.ingest(job)
-	}
+// drop settles a job that will never be ingested because its engine
+// closed: lease released, counted Dropped, work token returned. The
+// caller settles the pending count.
+func (e *Engine) drop(job ingestJob) {
+	releaseJobLease(&job)
+	e.bump(&e.Dropped)
+	e.host.tracker.WorkDone()
 }
 
 // ingest parses one entry payload and routes it: initiator requests
@@ -942,7 +810,7 @@ func (e *Engine) ingest(job ingestJob) {
 	e.stageHists[trace.StageParse].Record(parsed.Sub(picked))
 	if err != nil {
 		e.bump(&e.ParseErrors)
-		e.tracker.WorkDone()
+		e.host.tracker.WorkDone()
 		return
 	}
 	tm := ingestTiming{arrived: job.arrived, picked: picked, parsed: parsed, bytes: nbytes}
@@ -960,7 +828,7 @@ func (e *Engine) ingest(job ingestJob) {
 	}
 	e.bump(&e.Ignored)
 	msg.Release() // never escaped this worker: recycle
-	e.tracker.WorkDone()
+	e.host.tracker.WorkDone()
 }
 
 // openSession handles an initiator request. If the session keyed by
@@ -984,7 +852,7 @@ func (e *Engine) openSession(job ingestJob, msg *message.Message, tm ingestTimin
 				sh.mu.Unlock()
 			} else {
 				sh.mu.Unlock()
-				e.tracker.WorkDone()
+				e.host.tracker.WorkDone()
 				e.bump(&e.Dropped)
 				msg.Release() // dropped before delivery: recycle
 			}
@@ -1012,8 +880,9 @@ func (e *Engine) admitLocked(sh *tableShard, key string, seq uint64, msg *messag
 	switch State(e.state.Load()) {
 	case StateClosed:
 		sh.mu.Unlock()
-		e.tracker.WorkDone()
+		e.bump(&e.Dropped)
 		msg.Release()
+		e.host.tracker.WorkDone()
 		return
 	case StateDraining:
 		// Rendezvous deliveries to live sessions were handled by the
@@ -1026,7 +895,7 @@ func (e *Engine) admitLocked(sh *tableShard, key string, seq uint64, msg *messag
 		e.hookDrop(src.Addr, serrors.Mark(
 			fmt.Errorf("engine: %s: new session from %s rejected: engine is draining", e.merged.Name, src.Addr),
 			serrors.ErrDraining))
-		e.tracker.WorkDone()
+		e.host.tracker.WorkDone()
 		return
 	}
 	select {
@@ -1038,7 +907,7 @@ func (e *Engine) admitLocked(sh *tableShard, key string, seq uint64, msg *messag
 		e.hookDrop(src.Addr, serrors.Mark(
 			fmt.Errorf("engine: %s: new session from %s rejected: max sessions (%d) live", e.merged.Name, src.Addr, e.maxSessions),
 			serrors.ErrOverloaded))
-		e.tracker.WorkDone()
+		e.host.tracker.WorkDone()
 		return
 	}
 	s := newSession(e, key, seq, msg, src, tm)
@@ -1062,7 +931,7 @@ func (e *Engine) enqueue(s *session, ev sessEvent) bool {
 	sh.mu.RLock()
 	if sh.sessions[s.key] != s {
 		sh.mu.RUnlock()
-		e.tracker.WorkDone()
+		e.host.tracker.WorkDone()
 		releaseEventMsg(ev)
 		return false
 	}
@@ -1073,7 +942,7 @@ func (e *Engine) enqueue(s *session, ev sessEvent) bool {
 		e.hookDrop(ev.src.Addr, serrors.Mark(
 			fmt.Errorf("engine: %s: session inbox full, payload dropped", e.merged.Name),
 			serrors.ErrOverloaded))
-		e.tracker.WorkDone()
+		e.host.tracker.WorkDone()
 		return false
 	}
 	select {
@@ -1087,7 +956,7 @@ func (e *Engine) enqueue(s *session, ev sessEvent) bool {
 		e.hookDrop(ev.src.Addr, serrors.Mark(
 			fmt.Errorf("engine: %s: session inbox full, payload dropped", e.merged.Name),
 			serrors.ErrOverloaded))
-		e.tracker.WorkDone()
+		e.host.tracker.WorkDone()
 		return false
 	}
 }
@@ -1126,10 +995,10 @@ func (e *Engine) deliverTimer(s *session, gen uint64) {
 		}
 	}
 	sh.mu.RUnlock()
-	e.tracker.WorkDone()
+	e.host.tracker.WorkDone()
 	if alive {
-		e.node.After(time.Millisecond, func() {
-			e.tracker.WorkAdd()
+		e.host.node.After(time.Millisecond, func() {
+			e.host.tracker.WorkAdd()
 			e.deliverTimer(s, gen)
 		})
 	}
@@ -1148,7 +1017,7 @@ func (e *Engine) rerouteEntry(s *session, ev sessEvent) {
 	if !ev.rerouted {
 		if s2 := e.table.findAwaiting(ev.proto, ev.msg.Name, ev.src.Addr.IP); s2 != nil && s2 != s {
 			ev.rerouted = true
-			e.tracker.WorkAdd()
+			e.host.tracker.WorkAdd()
 			e.enqueue(s2, ev) // on failure, enqueue recycles the message
 			return
 		}
@@ -1165,7 +1034,7 @@ func (e *Engine) sessionDone(s *session, err error) {
 	}
 	s.finished = true
 	s.cleanup()
-	end := e.node.Now()
+	end := e.host.node.Now()
 	stats := SessionStats{
 		Origin:  s.origin.Addr,
 		Start:   s.start,

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,38 +11,39 @@ import (
 	"starlink/internal/protocols/dnssd"
 	"starlink/internal/protocols/slp"
 	"starlink/internal/protocols/upnp"
+	"starlink/internal/provision"
 	"starlink/internal/registry"
 	"starlink/internal/simnet"
 )
 
-// deploy builds and starts a bridge engine for a case on the sim.
+// deploy builds and starts a bridge engine for a case on the sim: a
+// one-case dispatcher, which binds the entry listeners and runs the
+// host the engine queues onto. opts reach both the host and the engine.
 func deploy(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
+	t.Helper()
+	e, _ := deployOn(t, sim, "10.0.0.5", caseName, opts...)
+	return e
+}
+
+// deployOn is deploy on a chosen bridge host, also returning the
+// dispatcher (host lanes, listeners).
+func deployOn(t *testing.T, sim *simnet.Net, hostIP, caseName string, opts ...engine.Option) (*engine.Engine, *provision.Dispatcher) {
 	t.Helper()
 	reg, err := registry.Builtin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := reg.Merged(caseName)
+	d, err := provision.Deploy(context.Background(), reg, sim, hostIP,
+		provision.WithCases(caseName), provision.WithEngineOptions(opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	codecs, err := reg.Codecs(merged)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { _ = d.Close() })
+	e, ok := d.Engine(caseName)
+	if !ok {
+		t.Fatalf("%s not deployed", caseName)
 	}
-	node, err := sim.NewNode("10.0.0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(node, merged, codecs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = e.Close() })
-	return e
+	return e, d
 }
 
 // Case 1 (paper Fig. 4/5): an SLP user agent discovers a UPnP device.
@@ -299,18 +301,20 @@ func TestBridgeNoServiceTimesOut(t *testing.T) {
 	}
 }
 
-// Garbage datagrams on the entry listener must be counted and ignored.
+// Garbage datagrams on the entry listener must be counted and ignored:
+// the listener's classification refuses them before any engine sees
+// them.
 func TestBridgeIgnoresGarbage(t *testing.T) {
 	sim := simnet.New()
-	e := deploy(t, sim, "slp-to-bonjour")
+	e, d := deployOn(t, sim, "10.0.0.5", "slp-to-bonjour")
 	cliNode, _ := sim.NewNode("10.0.0.1")
 	sock, _ := cliNode.OpenUDP(0, func(netapi.Packet) {})
 	if err := sock.Send(netapi.Addr{IP: slp.Group, Port: slp.Port}, []byte{0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunToQuiescence()
-	if e.ParseErrors != 1 {
-		t.Fatalf("parse errors = %d", e.ParseErrors)
+	if n := d.DispatchStats().ParseErrors; n != 1 {
+		t.Fatalf("parse errors = %d", n)
 	}
 	if e.Completed != 0 && e.Failed != 0 {
 		t.Fatal("garbage must not create sessions")

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"starlink/internal/hist"
-	"starlink/internal/lanes"
 	"starlink/internal/netapi"
 	"starlink/internal/trace"
 )
@@ -34,38 +33,6 @@ func (e *Engine) Latency() LatencyDump {
 		d.Stages[i] = e.stageHists[i].Snapshot()
 	}
 	d.Session = e.sessHist.Snapshot()
-	return d
-}
-
-// LaneDump is a snapshot of the engine's ingest-lane accounting: the
-// per-lane admit/defer/shed counters and depths rolled up across the
-// per-worker queues, plus the per-lane queue-wait distributions
-// (listener arrival to ingest-worker pickup).
-type LaneDump struct {
-	Counters [lanes.NumLanes]lanes.Counters
-	Wait     [lanes.NumLanes]hist.Snapshot
-}
-
-// Merge folds another dump into d (per-case → aggregate rollups).
-func (d *LaneDump) Merge(o LaneDump) {
-	d.Counters = lanes.Sum(d.Counters, o.Counters)
-	for i := range d.Wait {
-		d.Wait[i].Merge(o.Wait[i])
-	}
-}
-
-// Lanes snapshots the engine's ingest-lane accounting; safe from any
-// goroutine at any time, including after Close.
-func (e *Engine) Lanes() LaneDump {
-	var d LaneDump
-	snaps := make([][lanes.NumLanes]lanes.Counters, 0, len(e.laneQs))
-	for _, q := range e.laneQs {
-		snaps = append(snaps, q.Counters())
-	}
-	d.Counters = lanes.Sum(snaps...)
-	for i := range d.Wait {
-		d.Wait[i] = e.laneHists[i].Snapshot()
-	}
 	return d
 }
 
@@ -113,9 +80,10 @@ func (e *Engine) LiveSessions() []LiveSession {
 }
 
 // Probe is a point-in-time snapshot of the engine's internal resource
-// accounting, exposed for the DST invariant checks: after a quiesced
-// teardown every field must read zero (and State must be closed) or
-// the run leaked sessions, max-session slots or queued payloads.
+// accounting, exposed for the DST invariant checks: at quiescence Live
+// and SemInUse must read zero or the run leaked sessions or
+// max-session slots. Queued payloads are the host's to account
+// (Host.LaneDepth).
 type Probe struct {
 	// State is the lifecycle state at probe time.
 	State State
@@ -125,17 +93,10 @@ type Probe struct {
 	// nonzero value after teardown means a session finished without
 	// releasing its admission slot.
 	SemInUse int
-	// LaneDepth is the number of payloads queued across every ingest
-	// lane queue.
-	LaneDepth int
 }
 
 // Probe snapshots the engine's internal accounting; safe from any
 // goroutine at any time, including after Close.
 func (e *Engine) Probe() Probe {
-	p := Probe{State: e.State(), Live: e.table.live(), SemInUse: len(e.sem)}
-	for _, q := range e.laneQs {
-		p.LaneDepth += q.Depth()
-	}
-	return p
+	return Probe{State: e.State(), Live: e.table.live(), SemInUse: len(e.sem)}
 }

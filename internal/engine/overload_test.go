@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,10 +18,24 @@ import (
 	"starlink/internal/simnet"
 )
 
-// build constructs (without starting) a bridge engine for a case, so a
-// test can fill the ingest lanes deterministically: no workers drain
-// them until Start or Close.
-func build(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) *engine.Engine {
+// build constructs a bridge engine for a case on a host whose workers
+// are never started, so a test can fill the ingest lanes
+// deterministically: nothing drains them.
+func build(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option) (*engine.Engine, *engine.Host) {
+	t.Helper()
+	node, err := sim.NewNode("10.0.0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := engine.NewHost(node, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildOn(t, host, caseName, opts...), host
+}
+
+// buildOn constructs a case's engine on an existing host.
+func buildOn(t *testing.T, host *engine.Host, caseName string, opts ...engine.Option) *engine.Engine {
 	t.Helper()
 	reg, err := registry.Builtin()
 	if err != nil {
@@ -34,15 +49,20 @@ func build(t *testing.T, sim *simnet.Net, caseName string, opts ...engine.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := sim.NewNode("10.0.0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(node, merged, codecs, opts...)
+	e, err := engine.New(host, merged, codecs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// laneDepth is the number of payloads queued on the host's lanes.
+func laneDepth(h *engine.Host) int {
+	n := 0
+	for _, c := range h.Lanes().Counters {
+		n += c.Depth
+	}
+	return n
 }
 
 // protoPair returns the engine's control protocol (the initiator's,
@@ -65,26 +85,25 @@ func src(i int) netengine.Source {
 	return netengine.Source{Addr: netapi.Addr{IP: fmt.Sprintf("10.9.0.%d", i), Port: 1000}}
 }
 
-// With no ingest workers draining (the engine is built but not
+// With no ingest workers draining (the host is built but not
 // started), the watermark state machine is fully deterministic: the
 // high watermark trips the flow gate and starts shedding telemetry —
 // oldest first — while control keeps admitting, and every shed payload
 // surfaces through the Drop hook marked ErrOverloaded.
 func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 	sim := simnet.New()
-	gate := netapi.NewFlowGate()
 	var mu sync.Mutex
 	var reasons []error
-	e := build(t, sim, "slp-to-bonjour",
+	e, host := build(t, sim, "slp-to-bonjour",
 		engine.WithIngestWorkers(1),
 		engine.WithLanePolicy(lanes.Policy{Capacity: 4, High: 6, Low: 2, Mode: lanes.ShedOldest}),
-		engine.WithFlowGate(gate),
 		engine.WithHooks(engine.Hooks{Drop: func(_ netapi.Addr, reason error) {
 			mu.Lock()
 			reasons = append(reasons, reason)
 			mu.Unlock()
 		}}))
 	control, telemetry := protoPair(t, e)
+	gate := host.Gate()
 
 	inject := func(proto string, n *int) {
 		*n++
@@ -111,7 +130,7 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 	}
 	inject(control, &n) // control still admits while pressured
 
-	ld := e.Lanes()
+	ld := host.Lanes()
 	ctl, tel := ld.Counters[lanes.Control], ld.Counters[lanes.Telemetry]
 	if ctl.Admitted != 4 || ctl.Shed != 0 || ctl.Deferred != 1 {
 		t.Errorf("control = %+v, want Admitted=4 Shed=0 Deferred=1", ctl)
@@ -148,13 +167,19 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 		}
 	}
 
-	// Teardown releases the pressured queue's gate hold so paused
-	// transports wake.
+	// Closing the engine settles its queued jobs, which releases the
+	// pressured queue's gate hold so paused transports wake.
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if gate.Blocked() {
 		t.Error("gate still blocked after Close")
+	}
+	if depth := laneDepth(host); depth != 0 {
+		t.Errorf("host lane depth %d after the engine closed", depth)
+	}
+	if st := e.Stats(); st.Dropped != 2+7 {
+		t.Errorf("Dropped = %d after Close, want 9 (2 shed + 7 settled)", st.Dropped)
 	}
 }
 
@@ -164,7 +189,7 @@ func TestLaneWatermarkShedsTelemetryKeepsControl(t *testing.T) {
 // counts depend on scheduling, the accounting identity does not.
 func TestLaneSaturationRace(t *testing.T) {
 	sim := simnet.New()
-	e := deploy(t, sim, "slp-to-bonjour",
+	e, d := deployOn(t, sim, "10.0.0.5", "slp-to-bonjour",
 		engine.WithIngestWorkers(1),
 		engine.WithLanePolicy(lanes.Policy{Capacity: 64, High: 8, Low: 4, Mode: lanes.ShedOldest}))
 	control, telemetry := protoPair(t, e)
@@ -183,7 +208,7 @@ func TestLaneSaturationRace(t *testing.T) {
 					return
 				}
 				offered[p]++
-				if i%64 == 0 && e.Lanes().Counters[lanes.Telemetry].Shed > 0 {
+				if i%64 == 0 && d.Lanes().Counters[lanes.Telemetry].Shed > 0 {
 					shed.Store(true)
 				}
 			}
@@ -200,10 +225,10 @@ func TestLaneSaturationRace(t *testing.T) {
 	wg.Wait()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for e.Lanes().Counters[lanes.Telemetry].Depth > 0 && time.Now().Before(deadline) {
+	for d.Lanes().Counters[lanes.Telemetry].Depth > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	ld := e.Lanes()
+	ld := d.Lanes()
 	ctl, tel := ld.Counters[lanes.Control], ld.Counters[lanes.Telemetry]
 	if tel.Shed == 0 {
 		t.Fatal("flood never shed telemetry")
@@ -224,5 +249,95 @@ func TestLaneSaturationRace(t *testing.T) {
 	// nothing is unaccounted.
 	if tel.Admitted+tel.Shed < total {
 		t.Errorf("telemetry admitted=%d shed=%d < offered=%d", tel.Admitted, tel.Shed, total)
+	}
+}
+
+// Lane priority is host-wide: two cases on one host with a single
+// worker share one lane queue, so case B's control payloads are
+// dequeued ahead of case A's earlier telemetry, and under pressure A's
+// telemetry is shed while B's control is not.
+func TestLanePriorityAcrossCases(t *testing.T) {
+	sim := simnet.New()
+	opts := []engine.Option{
+		engine.WithIngestWorkers(1),
+		engine.WithLanePolicy(lanes.Policy{Capacity: 4, High: 6, Low: 2, Mode: lanes.ShedOldest}),
+	}
+	a, host := build(t, sim, "slp-to-bonjour", opts...)
+	b := buildOn(t, host, "bonjour-to-slp", opts...)
+	_, telemetryA := protoPair(t, a)
+	controlB, _ := protoPair(t, b)
+	inject := func(e *engine.Engine, proto string, i int) {
+		t.Helper()
+		if err := e.Inject(proto, []byte("payload"), src(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Dequeue order: A's telemetry arrives first, B's control still
+	// leaves first.
+	for i := 0; i < 2; i++ {
+		inject(a, telemetryA, i)
+	}
+	for i := 0; i < 2; i++ {
+		inject(b, controlB, 10+i)
+	}
+	var order []string
+	for {
+		e, lane, ok := host.NextJob()
+		if !ok {
+			break
+		}
+		name := "A"
+		if e == b {
+			name = "B"
+		}
+		order = append(order, name+"/"+lane.String())
+	}
+	if got, want := strings.Join(order, " "), "B/control B/control A/telemetry A/telemetry"; got != want {
+		t.Fatalf("dequeue order %q, want %q", got, want)
+	}
+
+	// Pressure: A's telemetry fills the queue to the high watermark
+	// with B's control; further arrivals of both shed A only.
+	for i := 0; i < 4; i++ {
+		inject(a, telemetryA, 20+i)
+	}
+	for i := 0; i < 2; i++ { // depth 6 == High: pressured
+		inject(b, controlB, 30+i)
+	}
+	if !host.Gate().Blocked() {
+		t.Fatal("gate not paused at the high watermark")
+	}
+	for i := 0; i < 2; i++ {
+		inject(a, telemetryA, 40+i) // each evicts A's oldest telemetry
+		inject(b, controlB, 50+i)   // control keeps admitting
+	}
+	if got := a.Stats().Dropped; got != 2 {
+		t.Errorf("case A dropped %d, want 2 telemetry sheds", got)
+	}
+	if got := b.Stats().Dropped; got != 0 {
+		t.Errorf("case B dropped %d control payloads", got)
+	}
+	ld := host.Lanes()
+	if ctl := ld.Counters[lanes.Control]; ctl.Shed != 0 || ctl.Admitted != 6 {
+		t.Errorf("control = %+v, want Admitted=6 Shed=0", ctl)
+	}
+	if tel := ld.Counters[lanes.Telemetry]; tel.Shed != 2 || tel.Depth != 4 {
+		t.Errorf("telemetry = %+v, want Shed=2 Depth=4", tel)
+	}
+
+	// Closing A settles only A's queued jobs; B's stay queued.
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ld := host.Lanes(); ld.Counters[lanes.Telemetry].Depth != 0 || ld.Counters[lanes.Control].Depth != 4 {
+		t.Errorf("after closing A: telemetry depth %d, control depth %d, want 0 and 4",
+			ld.Counters[lanes.Telemetry].Depth, ld.Counters[lanes.Control].Depth)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := laneDepth(host); d != 0 {
+		t.Errorf("host lane depth %d after both engines closed", d)
 	}
 }

@@ -141,14 +141,14 @@ func newSession(e *Engine, key string, seq uint64, first *message.Message, src n
 		key:          key,
 		seq:          seq,
 		originIP:     src.Addr.IP,
-		inbox:        make(chan sessEvent, inboxCap+e.ingestWorkers+2),
+		inbox:        make(chan sessEvent, inboxCap+e.host.ingestWorkers+2),
 		timerCh:      make(chan sessEvent, timerChCap),
 		pc:           1, // step 0 is the initiator receive, satisfied by first
 		origin:       src,
 		entrySources: map[string]netengine.Source{},
 		history:      map[string][]*message.Message{},
 		requesters:   map[string]*netengine.Requester{},
-		start:        e.node.Now(),
+		start:        e.host.node.Now(),
 	}
 	s.ctx, s.cancel = context.WithCancel(e.ctx)
 	if e.windowJitter > 0 {
@@ -196,7 +196,7 @@ func (s *session) run() {
 			select {
 			case ev := <-s.timerCh:
 				s.handle(ev)
-				s.e.tracker.WorkDone()
+				s.e.host.tracker.WorkDone()
 				continue
 			default:
 			}
@@ -209,10 +209,10 @@ func (s *session) run() {
 		select {
 		case ev := <-s.inbox:
 			s.handle(ev)
-			s.e.tracker.WorkDone()
+			s.e.host.tracker.WorkDone()
 		case ev := <-s.timerCh:
 			s.handle(ev)
-			s.e.tracker.WorkDone()
+			s.e.host.tracker.WorkDone()
 		case <-s.ctx.Done():
 			// Forcible teardown (engine Close, drain deadline, context
 			// cancellation) still reports through sessionDone so the
@@ -235,7 +235,7 @@ func (s *session) drainAll() {
 	for {
 		select {
 		case ev := <-s.inbox:
-			s.e.tracker.WorkDone()
+			s.e.host.tracker.WorkDone()
 			if ev.msg != nil {
 				// Undelivered entry messages were never stored in the
 				// (already recycled) history; this drain holds the last
@@ -249,7 +249,7 @@ func (s *session) drainAll() {
 				ev.lease.Release()
 			}
 		case <-s.timerCh:
-			s.e.tracker.WorkDone()
+			s.e.host.tracker.WorkDone()
 		default:
 			return
 		}
@@ -344,6 +344,17 @@ func (s *session) advance() {
 			s.rec.Record(trace.StageTransition, trace.OutcomeOK, 0)
 			s.pc++
 		case merge.StepSend:
+			// Publish the next receive's await key before the send: a
+			// peer answering at once (a control point fetching the
+			// description the moment our SSDP response lands) must find
+			// the session already awaiting it, not race armReceive. The
+			// payload waits in the inbox until this loop returns.
+			for _, next := range s.e.program[s.pc+1:] {
+				if next.Kind == merge.StepRecv {
+					s.publishAwait(next)
+					break
+				}
+			}
 			if err := s.runSend(step); err != nil {
 				s.e.sessionDone(s, err)
 				return
@@ -425,7 +436,7 @@ func (s *session) runSend(step merge.Step) error {
 		}
 		s.rec.Record(trace.StageSend, trace.OutcomeOK, len(wire))
 		if s.replyAt.IsZero() && step.Protocol == s.e.merged.Initiator {
-			s.replyAt = s.e.node.Now()
+			s.replyAt = s.e.host.node.Now()
 		}
 		return nil
 	}
@@ -434,17 +445,15 @@ func (s *session) runSend(step merge.Step) error {
 		dest := s.override
 		s.override = netapi.Addr{}
 		proto := step.Protocol
-		r, err = s.e.net.NewRequester(step.Color, dest, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
-			s.e.tracker.WorkAdd()
+		r, err = s.e.host.net.NewRequester(step.Color, dest, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
+			s.e.host.tracker.WorkAdd()
 			s.e.enqueue(s, sessEvent{kind: evData, proto: proto, data: data, lease: lease, arrived: time.Now()})
 		})
 		if err != nil {
 			return err
 		}
 		s.requesters[step.Protocol] = r
-		if s.e.egress != nil {
-			s.e.egress.Add(r.LocalAddr())
-		}
+		s.e.host.egress.Add(r)
 	}
 	sendErr := r.Send(wire)
 	s.e.stageHists[trace.StageSend].Record(time.Since(t2))
@@ -463,7 +472,7 @@ func (s *session) armReceive(step merge.Step) {
 	s.waitProto = step.Protocol
 	s.waitMsg = step.Message
 	s.collected = nil
-	s.await.Store(&awaitKey{proto: step.Protocol, msg: step.Message})
+	s.publishAwait(step)
 	scheme, err := netengine.SchemeOf(step.Color)
 	if err != nil {
 		s.e.sessionDone(s, err)
@@ -484,10 +493,19 @@ func (s *session) armReceive(step merge.Step) {
 	s.timerGen++
 	gen := s.timerGen
 	s.timerSet = true
-	s.timer = s.e.node.After(wait, func() {
-		s.e.tracker.WorkAdd()
+	s.timer = s.e.host.node.After(wait, func() {
+		s.e.host.tracker.WorkAdd()
 		s.e.deliverTimer(s, gen)
 	})
+}
+
+// publishAwait publishes the receive step as the session's await key
+// for entry routing, unless it already is.
+func (s *session) publishAwait(step merge.Step) {
+	if ak := s.await.Load(); ak != nil && ak.proto == step.Protocol && ak.msg == step.Message {
+		return
+	}
+	s.await.Store(&awaitKey{proto: step.Protocol, msg: step.Message})
 }
 
 func (s *session) windowExpired() {
@@ -502,7 +520,7 @@ func (s *session) windowExpired() {
 
 func (s *session) clearWait() {
 	if s.timerSet {
-		s.e.node.Cancel(s.timer)
+		s.e.host.node.Cancel(s.timer)
 		s.timerSet = false
 	}
 	s.timerGen++ // invalidate a fire already in flight
@@ -532,15 +550,13 @@ func (s *session) deliver(proto string, msg *message.Message) {
 func (s *session) cleanup() {
 	s.cancel() // release the session context (idempotent)
 	if s.timerSet {
-		s.e.node.Cancel(s.timer)
+		s.e.host.node.Cancel(s.timer)
 		s.timerSet = false
 	}
 	s.timerGen++
 	s.await.Store(nil)
 	for _, r := range s.requesters {
-		if s.e.egress != nil {
-			s.e.egress.Remove(r.LocalAddr())
-		}
+		s.e.host.egress.Remove(r)
 		_ = r.Close()
 	}
 	s.requesters = map[string]*netengine.Requester{}

@@ -225,6 +225,39 @@ func (q *Queue[T]) Close(drain func(Lane, T)) {
 	q.cond.Broadcast()
 }
 
+// Remove takes every queued item that match selects out of the queue
+// and hands it to drain under the queue lock, highest priority first;
+// the remaining items keep their order. Removed items count as
+// Drained, so the conservation identity still closes, and a pressured
+// queue the removal brings down to its low watermark releases its gate
+// hold. It is how one producer's items leave a queue other producers
+// share (an engine closing on a host that keeps running).
+func (q *Queue[T]) Remove(match func(T) bool, drain func(Lane, T)) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	removed := false
+	for l := Control; l < NumLanes; l++ {
+		r := &q.rings[l]
+		// Rotate the ring once: pop every item, push back the keepers.
+		for n := r.n; n > 0; n-- {
+			item := r.pop()
+			if !match(item) {
+				r.push(item)
+				continue
+			}
+			removed = true
+			q.drained[l]++
+			drain(l, item)
+		}
+	}
+	if removed && q.pressured && q.depthLocked() <= q.policy.Low {
+		q.pressured = false
+		if q.gate != nil {
+			q.gate.Resume()
+		}
+	}
+}
+
 // Counters snapshots the per-lane accounting.
 func (q *Queue[T]) Counters() [NumLanes]Counters {
 	q.mu.Lock()

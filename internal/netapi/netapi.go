@@ -225,8 +225,8 @@ type Node interface {
 
 	// Close releases the node: every socket and listener it opened is
 	// closed, and runtimes that register nodes by address free the
-	// address for reuse. Closing twice is a no-op. Deployment owners
-	// (core.Bridge, the provisioning dispatcher) close their node on
+	// address for reuse. Closing twice is a no-op. A deployment that
+	// owns its node (provision.Deploy's dispatcher) closes it on
 	// teardown and on every failed-deploy path, so an aborted deploy
 	// never leaks endpoints. Endpoints opened through a detached view
 	// of the node are owned — and closed — the same way. The one

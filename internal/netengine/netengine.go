@@ -384,50 +384,67 @@ func (r *Requester) LocalAddr() netapi.Addr {
 	return netapi.Addr{}
 }
 
-// EgressTable is a concurrent set of the local addresses a bridge
-// deployment currently sends requests from. A multi-case dispatcher
-// consults it on every inbound entry payload: a payload whose source
-// is one of our own requester sockets is the bridge hearing its own
-// multicast request, and bridging it again through an
-// opposite-direction case would loop traffic forever.
+// EgressTable is a concurrent set of the local endpoints — transport
+// plus address — a bridge deployment currently sends requests from. A
+// dispatcher consults it on every inbound entry payload: a payload
+// whose source is one of our own requester sockets is the bridge
+// hearing its own multicast request, and bridging it again through an
+// opposite-direction case would loop traffic forever. The transport is
+// part of the key because UDP and TCP port spaces are distinct: a
+// client's datagram from port P is not our TCP requester on port P.
 type EgressTable struct {
 	mu    sync.RWMutex
-	addrs map[netapi.Addr]int
+	addrs map[egressKey]int
+}
+
+type egressKey struct {
+	stream bool
+	addr   netapi.Addr
 }
 
 // NewEgressTable returns an empty table.
 func NewEgressTable() *EgressTable {
-	return &EgressTable{addrs: map[netapi.Addr]int{}}
+	return &EgressTable{addrs: map[egressKey]int{}}
 }
 
-// Add registers a local egress address (refcounted).
-func (t *EgressTable) Add(a netapi.Addr) {
-	if a.IsZero() {
+// egressKeyOf is the requester's local endpoint; call it before Close,
+// which forgets the connection.
+func egressKeyOf(r *Requester) egressKey {
+	return egressKey{stream: r.conn != nil, addr: r.LocalAddr()}
+}
+
+// Add registers a requester's local endpoint (refcounted).
+func (t *EgressTable) Add(r *Requester) {
+	k := egressKeyOf(r)
+	if k.addr.IsZero() {
 		return
 	}
 	t.mu.Lock()
-	t.addrs[a]++
+	t.addrs[k]++
 	t.mu.Unlock()
 }
 
-// Remove unregisters one registration of the address.
-func (t *EgressTable) Remove(a netapi.Addr) {
-	if a.IsZero() {
+// Remove unregisters one registration of a requester's local endpoint.
+// Call it before closing the requester.
+func (t *EgressTable) Remove(r *Requester) {
+	k := egressKeyOf(r)
+	if k.addr.IsZero() {
 		return
 	}
 	t.mu.Lock()
-	if n := t.addrs[a]; n <= 1 {
-		delete(t.addrs, a)
+	if n := t.addrs[k]; n <= 1 {
+		delete(t.addrs, k)
 	} else {
-		t.addrs[a] = n - 1
+		t.addrs[k] = n - 1
 	}
 	t.mu.Unlock()
 }
 
-// Contains reports whether the address is a registered egress source.
-func (t *EgressTable) Contains(a netapi.Addr) bool {
+// Contains reports whether the payload source is a registered egress
+// endpoint of the same transport.
+func (t *EgressTable) Contains(src Source) bool {
 	t.mu.RLock()
-	_, ok := t.addrs[a]
+	_, ok := t.addrs[egressKey{stream: src.IsStream(), addr: src.Addr}]
 	t.mu.RUnlock()
 	return ok
 }

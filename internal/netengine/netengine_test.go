@@ -249,3 +249,50 @@ func TestSourceReplyUnknown(t *testing.T) {
 		t.Fatal("empty source reply should fail")
 	}
 }
+
+// The egress table keys requester sockets by transport as well as
+// address: UDP and TCP port spaces are distinct, so a client datagram
+// from the port our TCP requester holds is not the bridge's own echo,
+// while a registered UDP requester's echo still is.
+func TestEgressTableKeysTransport(t *testing.T) {
+	sim := simnet.New()
+	bridgeNode, _ := sim.NewNode("10.0.0.5")
+	devNode, _ := sim.NewNode("10.0.0.7")
+	spec, err := mdl.ParseXMLString(httpSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framer, err := parser.NewFramer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(devNode).Listen(tcpColor("8080"), framer, func([]byte, Source, *netapi.Buffer) {}); err != nil {
+		t.Fatal(err)
+	}
+	e := New(bridgeNode)
+	none := func([]byte, Source, *netapi.Buffer) {}
+	tcpReq, err := e.NewRequester(tcpColor("8080"), netapi.Addr{IP: "10.0.0.7", Port: 8080}, framer, none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpReq.Close()
+	udpReq, err := e.NewRequester(udpMulticastColor("239.1.2.3", "427"), netapi.Addr{}, nil, none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udpReq.Close()
+
+	table := NewEgressTable()
+	table.Add(tcpReq)
+	table.Add(udpReq)
+	if udpFromTCPPort := (Source{Addr: tcpReq.LocalAddr()}); table.Contains(udpFromTCPPort) {
+		t.Errorf("UDP source %s on the TCP requester's port was taken for the bridge's own echo", udpFromTCPPort.Addr)
+	}
+	if echo := (Source{Addr: udpReq.LocalAddr()}); !table.Contains(echo) {
+		t.Errorf("UDP requester's own echo from %s not recognised", echo.Addr)
+	}
+	table.Remove(udpReq)
+	if echo := (Source{Addr: udpReq.LocalAddr()}); table.Contains(echo) {
+		t.Error("removed requester still registered")
+	}
+}

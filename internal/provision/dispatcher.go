@@ -30,8 +30,9 @@ func WithCases(names ...string) Option {
 	return func(d *Dispatcher) { d.cases = names }
 }
 
-// WithEngineOptions passes engine options (max sessions, timeouts,
-// jitter, ...) to every engine the dispatcher deploys.
+// WithEngineOptions passes engine options to the dispatcher's host
+// (ingest workers, lane policy) and to every engine it deploys (max
+// sessions, timeouts, jitter, ...).
 func WithEngineOptions(opts ...engine.Option) Option {
 	return func(d *Dispatcher) { d.engOpts = opts }
 }
@@ -56,26 +57,6 @@ func WithLogf(fn func(format string, args ...any)) Option {
 // classification paths against each other.
 func WithTrialParseOnly() Option {
 	return func(d *Dispatcher) { d.trialParseOnly = true }
-}
-
-// WithOwnedNode makes the dispatcher own its bridge node: Close and
-// Shutdown release the node after undeploying everything. Deployment
-// factories that create a node per dispatcher (core.DeployDispatcher)
-// use this so a failed or finished deployment never leaks the host.
-func WithOwnedNode() Option {
-	return func(d *Dispatcher) { d.ownsNode = true }
-}
-
-// WithContext ties the dispatcher's lifetime to ctx: when ctx is
-// cancelled the dispatcher closes, undeploying every hosted case. The
-// context is also the parent of every hosted engine's context, so
-// cancellation reaches in-flight sessions directly.
-func WithContext(ctx context.Context) Option {
-	return func(d *Dispatcher) {
-		if ctx != nil {
-			d.ctx = ctx
-		}
-	}
 }
 
 // WithHooks registers a set of dispatcher lifecycle hooks. Hooks
@@ -212,15 +193,16 @@ type listener struct {
 }
 
 // Dispatcher hosts every loaded (or explicitly selected) case of a
-// registry on one bridge node at once. It owns the entry listeners —
-// one per distinct entry color across all deployed cases — and
-// classifies each inbound payload by trial-parsing it against the
+// registry on one bridge node at once — a single-case bridge is a
+// dispatcher with one case. It owns the entry listeners — one per
+// distinct entry color across all deployed cases — and classifies each
+// inbound payload by its signature or by trial-parsing it against the
 // candidate entry parsers ("entry sniffing"), then hands it to the
-// engine of the case it belongs to. Engines run in managed mode
-// (engine.StartManaged): they never bind sockets of their own, so two
+// engine of the case it belongs to. Engines never bind sockets, so two
 // cases sharing an entry endpoint (e.g. both SLP-initiated bridges on
 // the SLP multicast group) coexist without port conflicts or duplicate
-// deliveries.
+// deliveries; all of them queue onto the dispatcher's one engine.Host,
+// so lane priority and shedding hold across cases.
 //
 // Sync reconciles the deployments with the registry's current state
 // and is cheap when nothing changed, so it can run after every model
@@ -228,23 +210,21 @@ type listener struct {
 type Dispatcher struct {
 	reg  *registry.Registry
 	node netapi.Node
-	net  *netengine.Engine
-	// gate is the flow gate shared by every hosted engine's ingest
-	// queues and the dispatcher's entry listeners: when any engine's
-	// queue crosses its high watermark the listeners' read loops pause,
-	// and they resume once it drains to its low watermark.
-	gate *netapi.FlowGate
-	// egress tracks the requester sockets of every hosted engine so
-	// dispatch can suppress the deployment's own outbound requests.
-	egress *netengine.EgressTable
+	// host is the node's ingress scheduler: its network engine binds the
+	// entry listeners (parked on its flow gate while the lane queues are
+	// pressured), and its egress table lets dispatch suppress the
+	// deployment's own outbound requests.
+	host *engine.Host
 
 	cases          []string // explicit case filter; nil hosts all
 	engOpts        []engine.Option
 	logf           func(format string, args ...any)
 	hooks          []Hooks
 	trialParseOnly bool
-	ownsNode       bool
-	ctx            context.Context
+	// ownsNode and ctx are Deploy's: it closes the node with the
+	// dispatcher, and ctx parents every session context.
+	ownsNode bool
+	ctx      context.Context
 
 	// state moves strictly forward: Running → (Draining →) Closed.
 	state atomic.Int32
@@ -255,13 +235,11 @@ type Dispatcher struct {
 	deployed  map[string]*deployment
 	listeners map[string]*listener // by color key
 	closed    bool
-	// final snapshots each case's engine counters at Close so Stats
-	// (and the public Metrics) stay truthful on a closed dispatcher;
-	// finalLatency and finalLanes do the same for the staged latency
-	// histograms and the ingest-lane accounting.
-	final        map[string]engine.Counters
-	finalLatency map[string]engine.LatencyDump
-	finalLanes   map[string]engine.LaneDump
+	// retired holds the deployments Close tore down, so Stats and
+	// Latency (and the public Metrics) stay truthful on a closed
+	// dispatcher: an engine's counters and histograms stay readable
+	// after its Close.
+	retired []*deployment
 
 	// classifyHists time the classification decision itself, split by
 	// path: [0] the signature-index fast path, [1] trial parsing.
@@ -276,16 +254,15 @@ type Dispatcher struct {
 	counters DispatchCounters
 }
 
-// NewDispatcher builds a dispatcher for the registry on the node. Call
-// Sync to deploy; the zero deployment set serves nothing.
-func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) *Dispatcher {
-	gate := netapi.NewFlowGate()
+// NewDispatcher builds a dispatcher for the registry on the node and
+// starts its host's ingest workers; it fails if the host-level engine
+// options (lane policy) do not validate. Call Sync to deploy; the zero
+// deployment set serves nothing. The caller keeps owning node — see
+// Deploy for the owning, context-governed form.
+func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) (*Dispatcher, error) {
 	d := &Dispatcher{
 		reg:       reg,
 		node:      node,
-		net:       netengine.New(node, netengine.WithGate(gate)),
-		gate:      gate,
-		egress:    netengine.NewEgressTable(),
 		deployed:  map[string]*deployment{},
 		listeners: map[string]*listener{},
 		ctx:       context.Background(),
@@ -297,9 +274,49 @@ func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) *Di
 	for _, o := range opts {
 		o(d)
 	}
+	host, err := engine.NewHost(node, d.engOpts...)
+	if err != nil {
+		return nil, err
+	}
+	d.host = host
+	host.Start()
 	d.state.Store(int32(engine.StateStarting))
-	if d.ctx.Done() != nil {
-		ctx := d.ctx
+	return d, nil
+}
+
+// Deploy creates a bridge host with the given IP on rt and hosts the
+// selected cases on it (WithCases; every loaded case by default)
+// through a new dispatcher that owns the node: Close and Shutdown
+// release it, and so does every failed-deploy path.
+//
+// ctx governs both the deployment and its lifetime (like
+// exec.CommandContext): a ctx already cancelled aborts the deploy, and
+// cancelling it later closes the dispatcher, tearing down in-flight
+// sessions — whose contexts hang off ctx — and releasing the node.
+func Deploy(ctx context.Context, reg *registry.Registry, rt netapi.Runtime, hostIP string, opts ...Option) (*Dispatcher, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("provision: deploy: %w", err)
+	}
+	node, err := rt.NewNode(hostIP)
+	if err != nil {
+		return nil, fmt.Errorf("provision: bridge host: %w", err)
+	}
+	d, err := NewDispatcher(reg, node, opts...)
+	if err != nil {
+		_ = node.Close()
+		return nil, err
+	}
+	d.ownsNode = true
+	d.ctx = ctx
+	if err := d.Sync(); err != nil {
+		_ = d.Close()
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		_ = d.Close()
+		return nil, fmt.Errorf("provision: deploy: %w", err)
+	}
+	if ctx.Done() != nil {
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -308,7 +325,7 @@ func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) *Di
 			}
 		}()
 	}
-	return d
+	return d, nil
 }
 
 // State returns the dispatcher's lifecycle state.
@@ -479,12 +496,11 @@ func (d *Dispatcher) Sync() error {
 	return err
 }
 
-// deploy builds and starts a managed engine for one case. Caller holds
-// d.mu.
+// deploy builds and starts the engine for one case on the host.
+// Caller holds d.mu.
 func (d *Dispatcher) deploy(name string, c *registry.CompiledCase) (*deployment, error) {
 	opts := append([]engine.Option(nil), d.engOpts...)
-	opts = append(opts, engine.WithEgressTable(d.egress), engine.WithContext(d.ctx),
-		engine.WithFlowGate(d.gate))
+	opts = append(opts, engine.WithContext(d.ctx))
 	if len(d.hooks) > 0 {
 		caseName := name
 		opts = append(opts, engine.WithHooks(engine.Hooks{
@@ -511,13 +527,11 @@ func (d *Dispatcher) deploy(name string, c *registry.CompiledCase) (*deployment,
 			},
 		}))
 	}
-	eng, err := engine.New(d.node, c.Merged, c.Codecs, opts...)
+	eng, err := engine.New(d.host, c.Merged, c.Codecs, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.StartManaged(); err != nil {
-		return nil, err
-	}
+	eng.Start()
 	d.logeach("provision: deployed case %s (generation %d)", name, c.Generation)
 	// The Deployed hook is fired by Sync after d.mu is released.
 	return &deployment{name: name, compiled: c, eng: eng}, nil
@@ -584,7 +598,7 @@ func (d *Dispatcher) rebindLocked() ([]netapi.Closer, error) {
 		// candidate shares the framer; take it from the first.
 		framer := s.points[0].dep.compiled.Codecs[s.points[0].proto].Framer
 		key := key
-		closer, err := d.net.Listen(s.color, framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
+		closer, err := d.host.Net().Listen(s.color, framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
 			d.dispatch(key, data, src, lease)
 		})
 		if err != nil {
@@ -657,7 +671,7 @@ func (d *Dispatcher) dispatch(colorKey string, data []byte, src netengine.Source
 			lease.Release()
 		}
 	}
-	if d.egress.Contains(src.Addr) {
+	if d.host.Egress().Contains(src) {
 		// Our own multicast request echoed back by the group: an
 		// opposite-direction case must not bridge it.
 		release()
@@ -884,20 +898,26 @@ func (d *Dispatcher) Engine(caseName string) (*engine.Engine, bool) {
 	return dep.eng, true
 }
 
-// Stats snapshots the per-case engine counters. After Close it keeps
-// returning the final counters captured at teardown.
-func (d *Dispatcher) Stats() map[string]engine.Counters {
+// deps lists the hosted deployments, plus — with retired — the ones
+// Close tore down.
+func (d *Dispatcher) deps(retired bool) []*deployment {
 	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
+	defer d.mu.RUnlock()
+	out := make([]*deployment, 0, len(d.deployed)+len(d.retired))
 	for _, dep := range d.deployed {
-		deps = append(deps, dep)
+		out = append(out, dep)
 	}
-	final := d.final
-	d.mu.RUnlock()
-	out := make(map[string]engine.Counters, len(deps)+len(final))
-	for name, c := range final {
-		out[name] = c
+	if retired {
+		out = append(out, d.retired...)
 	}
+	return out
+}
+
+// Stats snapshots the per-case engine counters. After Close it keeps
+// returning the counters of the cases Close tore down.
+func (d *Dispatcher) Stats() map[string]engine.Counters {
+	deps := d.deps(true)
+	out := make(map[string]engine.Counters, len(deps))
 	for _, dep := range deps {
 		out[dep.name] = dep.eng.Stats()
 	}
@@ -911,47 +931,20 @@ func (d *Dispatcher) DispatchStats() DispatchCounters {
 	return d.counters
 }
 
-// Latency snapshots the per-case staged latency histograms. After
-// Close it keeps returning the final dumps captured at teardown,
-// mirroring Stats.
+// Latency snapshots the per-case staged latency histograms; after
+// Close, those of the cases it tore down, mirroring Stats.
 func (d *Dispatcher) Latency() map[string]engine.LatencyDump {
-	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	final := d.finalLatency
-	d.mu.RUnlock()
-	out := make(map[string]engine.LatencyDump, len(deps)+len(final))
-	for name, l := range final {
-		out[name] = l
-	}
+	deps := d.deps(true)
+	out := make(map[string]engine.LatencyDump, len(deps))
 	for _, dep := range deps {
 		out[dep.name] = dep.eng.Latency()
 	}
 	return out
 }
 
-// Lanes snapshots the per-case ingest-lane accounting. After Close it
-// keeps returning the final dumps captured at teardown, mirroring
-// Stats and Latency.
-func (d *Dispatcher) Lanes() map[string]engine.LaneDump {
-	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	final := d.finalLanes
-	d.mu.RUnlock()
-	out := make(map[string]engine.LaneDump, len(deps)+len(final))
-	for name, l := range final {
-		out[name] = l
-	}
-	for _, dep := range deps {
-		out[dep.name] = dep.eng.Lanes()
-	}
-	return out
-}
+// Lanes snapshots the host's ingest-lane accounting, shared by every
+// hosted case; it stays readable after Close.
+func (d *Dispatcher) Lanes() engine.LaneDump { return d.host.Lanes() }
 
 // ClassifyLatency snapshots the classification-decision histograms for
 // the signature fast path and the trial-parse slow path.
@@ -962,12 +955,7 @@ func (d *Dispatcher) ClassifyLatency() (fast, slow hist.Snapshot) {
 // LiveSessions lists each deployed case's currently registered
 // sessions. Closed cases contribute nothing (their sessions are gone).
 func (d *Dispatcher) LiveSessions() map[string][]engine.LiveSession {
-	d.mu.RLock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	d.mu.RUnlock()
+	deps := d.deps(false)
 	out := make(map[string][]engine.LiveSession, len(deps))
 	for _, dep := range deps {
 		if ls := dep.eng.LiveSessions(); len(ls) > 0 {
@@ -1002,37 +990,15 @@ func (d *Dispatcher) Close() error {
 	}
 	d.listeners = map[string]*listener{}
 	d.deployed = map[string]*deployment{}
-	// A provisional snapshot is taken in the same critical section that
-	// empties the deployment map, so Stats/Metrics never dip to zero
-	// while the engines tear down; the snapshot is refreshed with the
-	// true final counters (teardown failures included) once closeAll
-	// returns.
-	provisional := make(map[string]engine.Counters, len(deps))
-	provisionalLat := make(map[string]engine.LatencyDump, len(deps))
-	provisionalLanes := make(map[string]engine.LaneDump, len(deps))
-	for _, dep := range deps {
-		provisional[dep.name] = dep.eng.Stats()
-		provisionalLat[dep.name] = dep.eng.Latency()
-		provisionalLanes[dep.name] = dep.eng.Lanes()
-	}
-	d.final = provisional
-	d.finalLatency = provisionalLat
-	d.finalLanes = provisionalLanes
+	// Retired in the same critical section that empties the deployment
+	// map, so Stats/Metrics never dip to zero while the engines tear
+	// down, and afterwards read the true final counters.
+	d.retired = deps
 	d.mu.Unlock()
+	// Listeners first, then engines, then the host's workers: every
+	// engine settles its own queued jobs before the host stops.
 	d.closeAll(deps, closers)
-	final := make(map[string]engine.Counters, len(deps))
-	finalLat := make(map[string]engine.LatencyDump, len(deps))
-	finalLanes := make(map[string]engine.LaneDump, len(deps))
-	for _, dep := range deps {
-		final[dep.name] = dep.eng.Stats()
-		finalLat[dep.name] = dep.eng.Latency()
-		finalLanes[dep.name] = dep.eng.Lanes()
-	}
-	d.mu.Lock()
-	d.final = final
-	d.finalLatency = finalLat
-	d.finalLanes = finalLanes
-	d.mu.Unlock()
+	d.host.Close()
 	if d.ownsNode {
 		return d.node.Close()
 	}
@@ -1125,12 +1091,7 @@ func (d *Dispatcher) BeginDrain() {
 // Probe snapshots every hosted engine's internal resource accounting
 // (see engine.Probe), keyed by case name — the DST invariant surface.
 func (d *Dispatcher) Probe() map[string]engine.Probe {
-	d.mu.Lock()
-	deps := make([]*deployment, 0, len(d.deployed))
-	for _, dep := range d.deployed {
-		deps = append(deps, dep)
-	}
-	d.mu.Unlock()
+	deps := d.deps(false)
 	out := make(map[string]engine.Probe, len(deps))
 	for _, dep := range deps {
 		out[dep.name] = dep.eng.Probe()

@@ -33,6 +33,16 @@ func builtin(t *testing.T) *registry.Registry {
 	return reg
 }
 
+// newDispatcher is NewDispatcher failing the test on error.
+func newDispatcher(t testing.TB, reg *registry.Registry, node netapi.Node, opts ...Option) *Dispatcher {
+	t.Helper()
+	d, err := NewDispatcher(reg, node, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // copyFixtures copies the shipped model fixtures into a fresh temp
 // directory and returns it.
 func copyFixtures(t *testing.T) string {
@@ -143,7 +153,7 @@ func TestDispatcherHostsAllCases(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var lines []string
-	d := NewDispatcher(reg, node, WithLogf(func(format string, args ...any) {
+	d := newDispatcher(t, reg, node, WithLogf(func(format string, args ...any) {
 		mu.Lock()
 		lines = append(lines, format)
 		mu.Unlock()
@@ -230,7 +240,7 @@ func TestDispatcherReverseCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(reg, node)
+	d := newDispatcher(t, reg, node)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +335,7 @@ func TestDispatcherHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(reg, node)
+	d := newDispatcher(t, reg, node)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +484,7 @@ func TestDispatcherExplicitCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(reg, node, WithCases("slp-to-upnp", "upnp-to-slp"))
+	d := newDispatcher(t, reg, node, WithCases("slp-to-upnp", "upnp-to-slp"))
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +497,7 @@ func TestDispatcherExplicitCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := NewDispatcher(reg, node2, WithCases("no-such-case"))
+	d2 := newDispatcher(t, reg, node2, WithCases("no-such-case"))
 	if err := d2.Sync(); err == nil || !strings.Contains(err.Error(), "no-such-case") {
 		t.Fatalf("unknown explicit case should fail Sync, got %v", err)
 	}

@@ -191,7 +191,7 @@ func runClassificationScenario(t *testing.T, opts ...Option) scenarioResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(reg, node, opts...)
+	d := newDispatcher(t, reg, node, opts...)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func BenchmarkDispatcherClassify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := NewDispatcher(reg, node)
+	d := newDispatcher(b, reg, node)
 	if err := d.Sync(); err != nil {
 		b.Fatal(err)
 	}

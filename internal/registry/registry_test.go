@@ -8,6 +8,7 @@ import (
 
 	"starlink/internal/engine"
 	"starlink/internal/models"
+	"starlink/internal/parser"
 	"starlink/internal/simnet"
 )
 
@@ -273,21 +274,25 @@ func TestConcurrentMutation(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			host, err := engine.NewHost(node)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			host.Start()
+			defer host.Close()
 			for i := 0; i < iters/2; i++ {
 				c, err := r.Compiled("slp-to-bonjour")
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				eng, err := engine.New(node, c.Merged, c.Codecs)
+				eng, err := engine.New(host, c.Merged, c.Codecs)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := eng.StartManaged(); err != nil {
-					t.Error(err)
-					return
-				}
+				eng.Start()
 				if err := eng.Close(); err != nil {
 					t.Error(err)
 					return
@@ -343,5 +348,27 @@ func TestReplaceAutomatonFailedReresolve(t *testing.T) {
 		if _, err := r.Compiled(name); err != nil {
 			t.Errorf("%s does not compile after restore: %v", name, err)
 		}
+	}
+}
+
+// Regression seed from the parse ⇄ compose round-trip fuzzer: an mDNS
+// question whose one name label is a literal "." parsed as DomainName
+// "." and reparsed, after composing, as the root name "". The FQDN
+// decoder now rejects the label, so the payload fails to parse.
+func TestMDNSDotLabelRejected(t *testing.T) {
+	r, err := Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := r.Spec("mDNS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := parser.New(spec, r.Types())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := p.Parse([]byte("00\x00\x0000000000\x01.\x000000")); err == nil {
+		t.Fatalf("dotted label parsed as %s", m)
 	}
 }

@@ -8,6 +8,7 @@
 package types
 
 import (
+	"bytes"
 	"fmt"
 	"net/url"
 	"strconv"
@@ -306,6 +307,11 @@ func DecodeFQDN(data []byte) (name string, n int, err error) {
 		}
 		if i+l > len(data) {
 			return "", 0, fmt.Errorf("types: truncated FQDN label")
+		}
+		if bytes.IndexByte(data[i:i+l], '.') >= 0 {
+			// The dotted text form cannot represent it: the label would
+			// split (or vanish) when the name is composed again.
+			return "", 0, fmt.Errorf("types: FQDN label %q contains '.'", data[i:i+l])
 		}
 		labels = append(labels, string(data[i:i+l]))
 		i += l

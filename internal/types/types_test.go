@@ -188,6 +188,12 @@ func TestFQDNErrors(t *testing.T) {
 	if _, _, err := DecodeFQDN([]byte{0xC0, 0x01}); err == nil {
 		t.Error("compression pointer should be rejected")
 	}
+	if _, _, err := DecodeFQDN([]byte{1, '.', 0}); err == nil {
+		t.Error(`a label "." would decode as a name the encoder cannot round-trip`)
+	}
+	if _, _, err := DecodeFQDN([]byte{3, 'a', '.', 'b', 0}); err == nil {
+		t.Error("a label containing '.' should be rejected")
+	}
 }
 
 func TestDecodeFQDNConsumed(t *testing.T) {

@@ -83,9 +83,9 @@ func (m SessionMetrics) add(o SessionMetrics) SessionMetrics {
 	return m
 }
 
-// DispatchMetrics is a consistent snapshot of a dispatcher's payload
-// classification counters. Zero-valued for single-case bridges, which
-// bind their entry listeners directly.
+// DispatchMetrics is a consistent snapshot of a deployment's payload
+// classification counters — a Bridge's one-case listeners classify
+// too.
 type DispatchMetrics struct {
 	// Dispatched counts payloads handed to a case's engine.
 	Dispatched int
@@ -138,17 +138,15 @@ type LaneMetrics struct {
 }
 
 // Metrics is one deployment's full observability snapshot: lifecycle
-// state, aggregate and per-case session counters, and — for
-// dispatchers — the classification counters of the shared entry
-// listeners. Obtain it from Deployment.Metrics at any time, from any
+// state, aggregate and per-case session counters, the ingest lanes,
+// and the classification counters of the shared entry listeners. Obtain it from Deployment.Metrics at any time, from any
 // goroutine.
 type Metrics struct {
 	// State is the deployment's lifecycle state at snapshot time.
 	State State
 	// Sessions aggregates the session counters across every case.
 	Sessions SessionMetrics
-	// Dispatch holds the dispatcher classification counters (zero for
-	// a single-case bridge).
+	// Dispatch holds the entry listeners' classification counters.
 	Dispatch DispatchMetrics
 	// Cases breaks the session counters down per hosted case.
 	Cases map[string]SessionMetrics
@@ -159,9 +157,9 @@ type Metrics struct {
 	// CaseLatency breaks the staged latency distributions down per
 	// hosted case, same row layout as Latency.
 	CaseLatency map[string][]StageLatency
-	// Lanes aggregates the ingest-lane admission counters across every
-	// case, one row per lane in priority order (control, data,
-	// telemetry).
+	// Lanes holds the deployment's ingest-lane admission counters —
+	// one lane set serves every hosted case — one row per lane in
+	// priority order (control, data, telemetry).
 	Lanes []LaneMetrics
 	// Transport is the process-wide transport syscall accounting —
 	// batched vs per-datagram receives and sends, vectored stream
@@ -216,7 +214,7 @@ func latencyRowsOf(d engine.LatencyDump) []StageLatency {
 	return rows
 }
 
-// laneRowsOf converts an engine lane dump to the public rows, one per
+// laneRowsOf converts a host lane dump to the public rows, one per
 // lane in priority order.
 func laneRowsOf(d engine.LaneDump) []LaneMetrics {
 	rows := make([]LaneMetrics, 0, lanes.NumLanes)

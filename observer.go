@@ -146,17 +146,14 @@ type Classification struct {
 	Err error
 }
 
-// CaseEvent announces a case (un)deployment. For a single-case Bridge
-// the deploy event is emitted as DeployBridge returns, so on a
-// real-socket runtime a fast client's first session events may be
-// observed before it; dispatcher deploy events are emitted from the
+// CaseEvent announces a case (un)deployment. Deploy events — for a
+// Bridge's one case as for a Dispatcher's — are emitted from the
 // reconciliation loop, before the case serves traffic.
 type CaseEvent struct {
 	// Case is the merged automaton name.
 	Case string
 	// Generation is the registry generation the case's artifacts were
-	// compiled at (zero for single-case bridges, which deploy outside
-	// the reconciliation loop).
+	// compiled at.
 	Generation uint64
 }
 
@@ -259,17 +256,15 @@ func (h Hooks) OnDrop(e Drop) {
 // layers serialise only per engine, but a dispatcher hosts many
 // engines (and emits classification events of its own), so the chain
 // is the single point where all of a deployment's event sources
-// converge. It also latches the undeploy notification so a bridge
-// closed twice notifies once.
+// converge.
 //
 // obs is immutable after the chain is built (deployConfig collects
 // observers before deployment), so the empty-chain fast path reads the
 // length without taking the mutex: an empty chain costs a single
 // branch on the hot path, no lock traffic.
 type observerChain struct {
-	obs  []Observer
-	mu   sync.Mutex
-	once sync.Once
+	obs []Observer
+	mu  sync.Mutex
 }
 
 func (c *observerChain) OnSessionStart(e SessionStart) {
@@ -338,10 +333,6 @@ func (c *observerChain) OnDrop(e Drop) {
 	}
 }
 
-func (c *observerChain) undeployOnce(e CaseEvent) {
-	c.once.Do(func() { c.OnUndeploy(e) })
-}
-
 // statsOf converts engine session stats into the public form.
 func statsOf(caseName string, s engine.SessionStats) SessionStats {
 	return SessionStats{
@@ -353,32 +344,6 @@ func statsOf(caseName string, s engine.SessionStats) SessionStats {
 		Duration: s.Duration,
 		Err:      s.Err,
 		Trace:    traceEventsOf(s.Trace),
-	}
-}
-
-// bridgeHooks wires the observer chain into a single-case engine. Each
-// callback checks for an empty chain before building its event so the
-// Addr→string conversions are never paid without an observer attached.
-func bridgeHooks(caseName string, chain *observerChain) engine.Hooks {
-	return engine.Hooks{
-		SessionStart: func(origin netapi.Addr, at time.Time) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnSessionStart(SessionStart{Case: caseName, Origin: origin.String(), At: at})
-		},
-		SessionEnd: func(s engine.SessionStats) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnSessionEnd(statsOf(caseName, s))
-		},
-		Drop: func(origin netapi.Addr, reason error) {
-			if len(chain.obs) == 0 {
-				return
-			}
-			chain.OnDrop(Drop{Case: caseName, Origin: origin.String(), Reason: reason})
-		},
 	}
 }
 

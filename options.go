@@ -1,7 +1,6 @@
 package starlink
 
 import (
-	"fmt"
 	"time"
 
 	"starlink/internal/engine"
@@ -9,36 +8,12 @@ import (
 	"starlink/internal/provision"
 )
 
-// Option configures a deployment. One option set serves both
-// DeployBridge and DeployDispatcher; the few options that only make
-// sense for one kind of deployment are scoped to it and rejected —
-// with a descriptive error — when passed to the other, so a
-// misconfiguration fails at deploy time instead of being silently
-// ignored.
+// Option configures a deployment. One option set serves DeployBridge
+// and DeployDispatcher alike — a bridge is a one-case dispatcher. Some
+// options apply per deployment (the ingest lanes and their workers,
+// shared by every hosted case), the rest per hosted case.
 type Option struct {
-	name  string
-	scope deployTarget
 	apply func(*deployConfig)
-}
-
-// deployTarget scopes an option to the deployments it applies to.
-type deployTarget int
-
-const (
-	targetAny deployTarget = iota
-	targetBridge
-	targetDispatcher
-)
-
-func (t deployTarget) String() string {
-	switch t {
-	case targetBridge:
-		return "bridge"
-	case targetDispatcher:
-		return "dispatcher"
-	default:
-		return "any"
-	}
 }
 
 // deployConfig is the compiled form of an option list.
@@ -48,7 +23,7 @@ type deployConfig struct {
 	trialParseOnly bool
 
 	// lanePolicy accumulates WithLanePolicy and WithWatermarks so the
-	// two options compose into one engine-level policy; laneSet records
+	// two options compose into one host-level policy; laneSet records
 	// that at least one of them appeared.
 	lanePolicy lanes.Policy
 	laneSet    bool
@@ -56,21 +31,15 @@ type deployConfig struct {
 	chainOnce *observerChain
 }
 
-// compileOptions applies opts for the given target, rejecting options
-// scoped to the other deployment kind.
-func compileOptions(target deployTarget, opts []Option) (*deployConfig, error) {
+// compileOptions applies opts.
+func compileOptions(opts []Option) *deployConfig {
 	cfg := &deployConfig{}
 	for _, o := range opts {
-		if o.apply == nil {
-			continue
+		if o.apply != nil {
+			o.apply(cfg)
 		}
-		if o.scope != targetAny && o.scope != target {
-			return nil, fmt.Errorf("starlink: option %s applies only to %s deployments, not to a %s",
-				o.name, o.scope, target)
-		}
-		o.apply(cfg)
 	}
-	return cfg, nil
+	return cfg
 }
 
 // chain returns the deployment's observer chain, nil when no observer
@@ -85,20 +54,15 @@ func (c *deployConfig) chain() *observerChain {
 	return c.chainOnce
 }
 
-// engineOptions renders the per-engine option list.
-func (c *deployConfig) engineOptions() []engine.Option {
-	out := append([]engine.Option(nil), c.engOpts...)
-	if c.laneSet {
-		out = append(out, engine.WithLanePolicy(c.lanePolicy))
-	}
-	return out
-}
-
 // provisionOptions renders the dispatcher option list (engine options
-// ride along to every hosted case's engine).
+// ride along to the dispatcher's host and every hosted case's engine).
 func (c *deployConfig) provisionOptions() []provision.Option {
 	var out []provision.Option
-	if eo := c.engineOptions(); len(eo) > 0 {
+	eo := c.engOpts
+	if c.laneSet {
+		eo = append(eo, engine.WithLanePolicy(c.lanePolicy))
+	}
+	if len(eo) > 0 {
 		out = append(out, provision.WithEngineOptions(eo...))
 	}
 	if c.trialParseOnly {
@@ -113,18 +77,18 @@ func (c *deployConfig) provisionOptions() []provision.Option {
 // WithVars injects deployment environment variables referenced by
 // translation constants (e.g. ${bridge.host}).
 func WithVars(vars map[string]string) Option {
-	return Option{name: "WithVars", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithVars(vars))
 	}}
 }
 
-// WithMaxSessions bounds the number of concurrently live sessions (per
-// case, for a dispatcher). Initiator requests beyond the bound are
+// WithMaxSessions bounds the number of concurrently live sessions of
+// each hosted case. Initiator requests beyond the bound are
 // rejected instead of queued — observable as drops tagged
 // ErrOverloaded — so a flood degrades into dropped requests rather
 // than unbounded memory growth. Values < 1 keep the default (4096).
 func WithMaxSessions(n int) Option {
-	return Option{name: "WithMaxSessions", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithMaxSessions(n))
 	}}
 }
@@ -132,7 +96,7 @@ func WithMaxSessions(n int) Option {
 // WithReceiveTimeout bounds how long a session waits at a receive
 // state with no convergence window before failing.
 func WithReceiveTimeout(d time.Duration) Option {
-	return Option{name: "WithReceiveTimeout", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithReceiveTimeout(d))
 	}}
 }
@@ -144,23 +108,24 @@ func WithReceiveTimeout(d time.Duration) Option {
 // concurrent sessions never share a random stream and simulated runs
 // stay reproducible.
 func WithWindowJitter(d time.Duration, seed int64) Option {
-	return Option{name: "WithWindowJitter", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithWindowJitter(d, seed))
 	}}
 }
 
 // WithIngestWorkers sets the size of the worker pool that parses and
-// routes inbound entry payloads (per case, for a dispatcher).
+// routes inbound entry payloads. It applies per deployment: one pool
+// serves every hosted case.
 func WithIngestWorkers(n int) Option {
-	return Option{name: "WithIngestWorkers", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithIngestWorkers(n))
 	}}
 }
 
-// WithShardCount sets the number of session-table shards (per case,
-// for a dispatcher).
+// WithShardCount sets the number of session-table shards of each
+// hosted case.
 func WithShardCount(n int) Option {
-	return Option{name: "WithShardCount", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithShardCount(n))
 	}}
 }
@@ -170,7 +135,7 @@ func WithShardCount(n int) Option {
 // registration order. Use Hooks to implement only the callbacks you
 // need.
 func WithObserver(o Observer) Option {
-	return Option{name: "WithObserver", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		if o != nil {
 			c.observers = append(c.observers, o)
 		}
@@ -184,7 +149,7 @@ func WithObserver(o Observer) Option {
 // keep the default. Latency histograms are unaffected — they are
 // always on.
 func WithFlightRecorder(events int) Option {
-	return Option{name: "WithFlightRecorder", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.engOpts = append(c.engOpts, engine.WithTraceRing(events))
 	}}
 }
@@ -238,15 +203,17 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 }
 
 // WithLanePolicy bounds the prioritized ingest lanes that sit between
-// the transport read loops and each case's session router. Inbound
-// payloads classify into three lanes — control (session entry),
-// data (mid-session payloads of live sessions), telemetry (multicast
+// the transport read loops and the hosted cases' session routers. The
+// lanes apply per deployment: every hosted case queues onto the same
+// lanes, so priority and shedding hold across cases. Inbound payloads
+// classify into three lanes — control (session entry), data
+// (mid-session payloads of live sessions), telemetry (multicast
 // chatter) — each a ring of capacity payloads; under pressure the
 // telemetry lane degrades first per shed, and the control lane last.
 // Shed payloads surface as drops tagged ErrOverloaded. capacity < 1
 // keeps the default (1024 per lane). Composes with WithWatermarks.
 func WithLanePolicy(capacity int, shed ShedPolicy) Option {
-	return Option{name: "WithLanePolicy", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.laneSet = true
 		if capacity >= 1 {
 			c.lanePolicy.Capacity = capacity
@@ -256,14 +223,14 @@ func WithLanePolicy(capacity int, shed ShedPolicy) Option {
 }
 
 // WithWatermarks sets the total-depth hysteresis thresholds of the
-// ingest lanes (per case, for a dispatcher): at high queued payloads
+// deployment's ingest lanes: at high queued payloads
 // the transport read loops pause — releasing their buffers rather than
 // queueing — and telemetry shedding begins; draining back to low
 // resumes them. Deploy fails if high ≤ low or either is out of range
 // for the lane capacity. Values ≤ 0 keep the defaults (75% and 37.5%
 // of total capacity). Composes with WithLanePolicy.
 func WithWatermarks(high, low int) Option {
-	return Option{name: "WithWatermarks", apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.laneSet = true
 		if high > 0 {
 			c.lanePolicy.High = high
@@ -274,12 +241,13 @@ func WithWatermarks(high, low int) Option {
 	}}
 }
 
-// WithTrialParseOnly disables the dispatcher's signature-index fast
-// path: every payload is classified by trial-parsing against the
-// candidate entry parsers. For diagnostics and for benchmarking the
-// two classification paths against each other. Dispatcher-only.
+// WithTrialParseOnly disables the signature-index fast path of the
+// deployment's entry listeners: every payload is classified by
+// trial-parsing against the candidate entry parsers. For diagnostics
+// and for benchmarking the two classification paths against each
+// other.
 func WithTrialParseOnly() Option {
-	return Option{name: "WithTrialParseOnly", scope: targetDispatcher, apply: func(c *deployConfig) {
+	return Option{apply: func(c *deployConfig) {
 		c.trialParseOnly = true
 	}}
 }

@@ -72,25 +72,31 @@
 //
 // # Concurrency model
 //
-// The Automata Engine is a concurrent session runtime. Each initiator
-// request opens a session keyed by (entry color, origin address) in a
-// sharded session table; each session executes its
-// receive→translate→compose loop on its own goroutine, fed by a
-// bounded inbox channel. Inbound entry payloads flow through bounded,
+// Every deployment is a dispatcher: a Bridge is a Dispatcher hosting
+// one case. The dispatcher owns the bridge host's entry listeners and
+// one ingress scheduler shared by every hosted case. Inbound entry
+// payloads are classified to their case, then flow through bounded,
 // prioritized ingest lanes — control (session entry) over data
-// (mid-session payloads) over telemetry (multicast chatter) — before a
-// worker pool parses and routes them. Past the lanes' high watermark
-// the transport read loops pause (releasing their buffers) and
-// telemetry sheds first, control last (WithLanePolicy,
-// WithWatermarks); a max-sessions semaphore (WithMaxSessions) bounds
-// the live-session population on top. Both bounds surface as drops
-// tagged ErrOverloaded, so overload degrades into dropped requests
-// rather than unbounded memory growth. Timers and requester payloads
-// post events
-// into the session inbox instead of touching session state, so session
-// state needs no locks. On the virtual-clock simulator the engine
-// reports in-flight work through a work tracker, which keeps simulated
-// runs deterministic; see README.md for the full lifecycle.
+// (mid-session payloads) over telemetry (multicast chatter) — before
+// one worker pool parses and routes them. Past the lanes' high
+// watermark the transport read loops pause (releasing their buffers)
+// and telemetry sheds first, control last, across all hosted cases
+// (WithLanePolicy, WithWatermarks, WithIngestWorkers: per
+// deployment).
+//
+// Each case runs its own Automata Engine, a concurrent session
+// runtime. Each initiator request opens a session keyed by (entry
+// color, origin address) in the case's sharded session table; each
+// session executes its receive→translate→compose loop on its own
+// goroutine, fed by a bounded inbox channel. A max-sessions semaphore
+// (WithMaxSessions, per case) bounds the live-session population on
+// top of the lanes. Both bounds surface as drops tagged ErrOverloaded,
+// so overload degrades into dropped requests rather than unbounded
+// memory growth. Timers and requester payloads post events into the
+// session inbox instead of touching session state, so session state
+// needs no locks. On the virtual-clock simulator the engine reports
+// in-flight work through a work tracker, which keeps simulated runs
+// deterministic; see README.md for the full lifecycle.
 //
 // See examples/ for complete programs and DESIGN.md for the mapping
 // from the paper's formal model to this implementation.
@@ -102,10 +108,10 @@ import (
 	"sort"
 	"time"
 
-	"starlink/internal/core"
 	"starlink/internal/engine"
 	"starlink/internal/netapi"
 	"starlink/internal/provision"
+	"starlink/internal/registry"
 )
 
 // State is a deployment's position in its lifecycle. Deployments move
@@ -196,7 +202,7 @@ var (
 // Framework is a Starlink deployment context: a model registry plus a
 // network runtime (simulated or real).
 type Framework struct {
-	fw  *core.Framework
+	rt  *Runtime
 	reg *Registry
 }
 
@@ -204,27 +210,25 @@ type Framework struct {
 // case-study models preloaded (four protocol MDLs, eight colored
 // automata, six merged automata).
 func New(rt *Runtime) (*Framework, error) {
-	fw, err := core.New(rt.rt)
+	reg, err := registry.Builtin()
 	if err != nil {
 		return nil, err
 	}
-	return &Framework{fw: fw, reg: &Registry{r: fw.Registry()}}, nil
+	return &Framework{rt: rt, reg: &Registry{r: reg}}, nil
 }
 
 // NewEmpty creates a framework with no models loaded; use
 // Framework.Registry to load your own MDL / automaton / merged
 // automaton XML at runtime.
 func NewEmpty(rt *Runtime) *Framework {
-	fw := core.NewEmpty(rt.rt)
-	return &Framework{fw: fw, reg: &Registry{r: fw.Registry()}}
+	return &Framework{rt: rt, reg: NewRegistry()}
 }
 
 // NewWithRegistry creates a framework sharing an existing model
 // registry (and its warm compiled-case cache) — registries are
 // runtime-independent, so one model corpus can back many deployments.
 func NewWithRegistry(rt *Runtime, reg *Registry) *Framework {
-	fw := core.NewWithRegistry(rt.rt, reg.r)
-	return &Framework{fw: fw, reg: reg}
+	return &Framework{rt: rt, reg: reg}
 }
 
 // Registry exposes the framework's model registry for loading,
@@ -233,37 +237,19 @@ func (f *Framework) Registry() *Registry { return f.reg }
 
 // DeployBridge creates a bridge host with the given IP, instantiates
 // the named merged automaton on it and starts listening. The bridge is
-// transparent: neither legacy side needs to know it exists.
+// transparent: neither legacy side needs to know it exists. A bridge
+// is a dispatcher hosting exactly one case, so every option applies.
 //
 // ctx governs both the deploy and the bridge's lifetime: a cancelled
 // ctx aborts the deploy (releasing everything already created), and
 // cancelling it later closes the bridge, tearing down in-flight
 // sessions. Unknown case names fail with ErrUnknownCase.
 func (f *Framework) DeployBridge(ctx context.Context, hostIP, caseName string, opts ...Option) (*Bridge, error) {
-	cfg, err := compileOptions(targetBridge, opts)
+	d, err := f.DeployDispatcher(ctx, hostIP, []string{caseName}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	engOpts := cfg.engineOptions()
-	if chain := cfg.chain(); chain != nil {
-		engOpts = append(engOpts, engine.WithHooks(bridgeHooks(caseName, chain)))
-	}
-	b, err := f.fw.DeployBridge(ctx, hostIP, caseName, engOpts...)
-	if err != nil {
-		return nil, err
-	}
-	bridge := &Bridge{b: b, observers: cfg.chain()}
-	bridge.notifyDeploy()
-	if bridge.observers != nil {
-		// Whatever path tears the bridge down — Close, Shutdown, or
-		// cancellation of ctx — the observers hear about it exactly
-		// once.
-		go func() {
-			<-b.Done()
-			bridge.notifyUndeploy()
-		}()
-	}
-	return bridge, nil
+	return &Bridge{d: d, name: caseName}, nil
 }
 
 // DeployDispatcher creates a bridge host with the given IP and hosts
@@ -275,12 +261,11 @@ func (f *Framework) DeployBridge(ctx context.Context, hostIP, caseName string, o
 // ErrUnknownCase. Call Sync after mutating the registry to pick up
 // model changes with zero restart.
 func (f *Framework) DeployDispatcher(ctx context.Context, hostIP string, cases []string, opts ...Option) (*Dispatcher, error) {
-	cfg, err := compileOptions(targetDispatcher, opts)
-	if err != nil {
-		return nil, err
+	provOpts := compileOptions(opts).provisionOptions()
+	if len(cases) > 0 {
+		provOpts = append(provOpts, provision.WithCases(cases...))
 	}
-	provOpts := cfg.provisionOptions()
-	d, err := f.fw.DeployDispatcher(ctx, hostIP, cases, provOpts...)
+	d, err := provision.Deploy(ctx, f.reg.r, f.rt.rt, hostIP, provOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -288,81 +273,37 @@ func (f *Framework) DeployDispatcher(ctx context.Context, hostIP string, cases [
 }
 
 // Bridge is a deployed interoperability connector executing one merged
-// automaton.
+// automaton: a dispatcher hosting a single case.
 type Bridge struct {
-	b         *core.Bridge
-	observers *observerChain
+	d    *Dispatcher
+	name string
 }
 
 // Case returns the name of the merged automaton the bridge executes.
-func (b *Bridge) Case() string { return b.b.Case }
+func (b *Bridge) Case() string { return b.name }
 
 // State returns the bridge's lifecycle state.
-func (b *Bridge) State() State { return stateOf(b.b.Engine.State()) }
+func (b *Bridge) State() State { return b.d.State() }
 
-// Metrics returns a consistent snapshot of the bridge's session
-// counters and staged latency distributions. The Dispatch section is
-// zero for a single-case bridge.
-func (b *Bridge) Metrics() Metrics {
-	s := sessionMetricsOf(b.b.Engine.Stats())
-	lat := latencyRowsOf(b.b.Engine.Latency())
-	return Metrics{
-		State:       b.State(),
-		Sessions:    s,
-		Cases:       map[string]SessionMetrics{b.b.Case: s},
-		Latency:     lat,
-		CaseLatency: map[string][]StageLatency{b.b.Case: lat},
-		Lanes:       laneRowsOf(b.b.Engine.Lanes()),
-		Transport:   transportMetricsOf(netapi.ReadIOStats()),
-	}
-}
+// Metrics returns a consistent snapshot of the bridge's counters:
+// session metrics and staged latency distributions of its case, the
+// ingest lanes, and the classification counters of its entry
+// listeners.
+func (b *Bridge) Metrics() Metrics { return b.d.Metrics() }
 
 // Sessions lists the bridge's currently live sessions, oldest first.
-func (b *Bridge) Sessions() []SessionInfo {
-	ls := b.b.Engine.LiveSessions()
-	out := make([]SessionInfo, len(ls))
-	for i, s := range ls {
-		out[i] = SessionInfo{
-			Case:   b.b.Case,
-			Key:    s.Key,
-			Origin: s.Origin.String(),
-			Start:  s.Start,
-			Trace:  traceEventsOf(s.Trace),
-		}
-	}
-	return out
-}
+func (b *Bridge) Sessions() []SessionInfo { return b.d.Sessions() }
 
 // Shutdown drains the bridge gracefully: no new sessions are admitted
 // (late initiator requests surface as ErrDraining drops), live
 // sessions run to completion, and ctx bounds the drain — on expiry the
 // remaining sessions are torn down and the returned error wraps
 // ctx.Err(). The bridge host is released either way.
-func (b *Bridge) Shutdown(ctx context.Context) error {
-	err := b.b.Shutdown(ctx)
-	b.notifyUndeploy()
-	return err
-}
+func (b *Bridge) Shutdown(ctx context.Context) error { return b.d.Shutdown(ctx) }
 
 // Close undeploys the bridge immediately, tearing down in-flight
 // sessions and releasing the bridge host.
-func (b *Bridge) Close() error {
-	err := b.b.Close()
-	b.notifyUndeploy()
-	return err
-}
-
-func (b *Bridge) notifyDeploy() {
-	if b.observers != nil {
-		b.observers.OnDeploy(CaseEvent{Case: b.b.Case})
-	}
-}
-
-func (b *Bridge) notifyUndeploy() {
-	if b.observers != nil {
-		b.observers.undeployOnce(CaseEvent{Case: b.b.Case})
-	}
-}
+func (b *Bridge) Close() error { return b.d.Close() }
 
 // Dispatcher is a multi-case bridge deployment: one daemon hosting
 // every selected case at once behind shared entry listeners, with
@@ -406,11 +347,7 @@ func (d *Dispatcher) Metrics() Metrics {
 		agg.Merge(ld)
 	}
 	m.Latency = latencyRowsOf(agg)
-	var laneAgg engine.LaneDump
-	for _, ld := range d.d.Lanes() {
-		laneAgg.Merge(ld)
-	}
-	m.Lanes = laneRowsOf(laneAgg)
+	m.Lanes = laneRowsOf(d.d.Lanes())
 	fast, slow := d.d.ClassifyLatency()
 	m.Dispatch.FastPathLatency = stageLatencyOf("classify", fast)
 	m.Dispatch.SlowPathLatency = stageLatencyOf("classify", slow)

@@ -2,6 +2,7 @@ package starlink_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -202,5 +203,15 @@ func TestPublicAPICustomModels(t *testing.T) {
 	}
 	if m := bridge.Metrics(); m.Sessions.Completed != 1 {
 		t.Fatalf("completed = %d (metrics %+v)", m.Sessions.Completed, m)
+	}
+}
+
+func TestNewEmptyHasNoModels(t *testing.T) {
+	fw := starlink.NewEmpty(starlink.Simulated())
+	if got := fw.Registry().MergedNames(); len(got) != 0 {
+		t.Fatalf("merged = %v", got)
+	}
+	if _, err := fw.DeployBridge(context.Background(), "10.0.0.5", "slp-to-bonjour"); !errors.Is(err, starlink.ErrUnknownCase) {
+		t.Fatalf("deploy on an empty registry: err = %v, want ErrUnknownCase", err)
 	}
 }
