@@ -16,7 +16,7 @@ var (
 
 	// ErrOverloaded marks work refused because a configured capacity
 	// bound was hit: an initiator request beyond WithMaxSessions, or a
-	// payload dropped from a full session inbox or ingest queue.
+	// payload dropped from a full session queue or ingest queue.
 	ErrOverloaded = serrors.ErrOverloaded
 
 	// ErrAmbiguousPayload marks an entry payload that classified under

@@ -32,6 +32,8 @@ type Attr struct {
 // uncolored.
 type Color struct {
 	attrs []Attr
+	// key is the canonical Key, computed once by NewColor.
+	key string
 }
 
 // NewColor builds a color from attributes. Attributes are
@@ -41,7 +43,11 @@ func NewColor(attrs ...Attr) Color {
 	cp := make([]Attr, len(attrs))
 	copy(cp, attrs)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].Key < cp[j].Key })
-	return Color{attrs: cp}
+	var sb strings.Builder
+	for _, a := range cp {
+		fmt.Fprintf(&sb, "%d:%s=%d:%s;", len(a.Key), a.Key, len(a.Value), a.Value)
+	}
+	return Color{attrs: cp, key: sb.String()}
 }
 
 // Attrs returns the canonicalised attributes.
@@ -80,14 +86,9 @@ func (c Color) IsZero() bool { return len(c.attrs) == 0 }
 // Key is the perfect hash function f of §III-B: an injective canonical
 // encoding of the attribute tuple. Two colors are the same k iff their
 // Keys are equal. Keys and values are length-prefixed so no two
-// distinct tuples share an encoding.
-func (c Color) Key() string {
-	var sb strings.Builder
-	for _, a := range c.attrs {
-		fmt.Fprintf(&sb, "%d:%s=%d:%s;", len(a.Key), a.Key, len(a.Value), a.Value)
-	}
-	return sb.String()
-}
+// distinct tuples share an encoding. Allocation-free: NewColor
+// computes it once.
+func (c Color) Key() string { return c.key }
 
 // Hash64 derives a compact 64-bit FNV-1a digest of the Key for display
 // and logging. (Key itself is the collision-free identity.)

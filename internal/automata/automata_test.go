@@ -45,6 +45,20 @@ func TestColorCanonicalOrder(t *testing.T) {
 	}
 }
 
+// Key and Equal run per deploy and per session: the canonical key is
+// built once by NewColor, so reading it must not allocate.
+func TestColorKeyNoAllocs(t *testing.T) {
+	a, b := slpColor(), slpColor()
+	want := a.Key()
+	if avg := testing.AllocsPerRun(100, func() {
+		if a.Key() != want || !a.Equal(b) {
+			t.Fatal("key changed")
+		}
+	}); avg != 0 {
+		t.Fatalf("Key/Equal allocate %.1f per call, want 0", avg)
+	}
+}
+
 func TestColorAccessors(t *testing.T) {
 	c := slpColor()
 	if v, ok := c.Get(AttrGroup); !ok || v != "239.255.255.253" {

@@ -33,8 +33,8 @@ type ParallelResult struct {
 // `clients` concurrent SLP user agents are bridged to a Bonjour
 // service through one slp-to-bonjour engine, and returns the number of
 // completed bridge sessions. Each concurrent session exercises the
-// engine's sharded table and per-session goroutines; each unit is an
-// independent simulator, so units can run on parallel goroutines.
+// engine's sharded table and its inline session executors; each unit
+// is an independent simulator, so units can run on parallel goroutines.
 func RunParallelUnit(clients int, seed int64) (int, error) {
 	if clients < 1 || clients > 200 {
 		return 0, fmt.Errorf("bench: clients must be in 1..200, got %d", clients)
@@ -87,7 +87,7 @@ func RunParallelUnit(clients int, seed int64) (int, error) {
 // deliberately serialises session work to keep virtual time
 // deterministic, so intra-engine parallelism (sessions of one bridge
 // computing simultaneously) shows only under realnet, where no
-// virtual clock constrains the session goroutines. Session counts are
+// virtual clock constrains the session steps. Session counts are
 // deterministic per baseSeed; Elapsed is wall-clock.
 func RunParallelSessions(units, clients, workers int, baseSeed int64) (ParallelResult, error) {
 	if units < 1 || workers < 1 {

@@ -22,10 +22,13 @@
 //   - sessions live in a sharded, keyed table (key = entry color +
 //     origin address), so listener goroutines contend only on 1/N of
 //     the table;
-//   - each session's receive→translate→compose loop runs on its own
-//     goroutine fed by a bounded inbox channel; timers and requester
-//     payloads post events to the inbox instead of touching session
-//     state;
+//   - a session is a state machine with no goroutine of its own: it
+//     takes one step per event, run inline by whoever delivers the
+//     event — the ingest worker that admitted it or routed an entry
+//     payload to it, a requester socket's callback, the node timer.
+//     Events posted while a step runs queue on the session (payloads
+//     bounded, timers not), so one session's steps never overlap while
+//     distinct sessions step in parallel;
 //   - inbound entry payloads are queued on the node's Host — one lane
 //     scheduler and ingest worker pool shared by every case the node
 //     hosts — which parses and routes them, and a max-sessions
@@ -103,7 +106,7 @@ const (
 
 // Codec bundles the MDL-driven marshalling machinery for one protocol.
 // Parsers and composers are stateless per call, so one codec is shared
-// by every session goroutine.
+// by every session and ingest worker, whatever goroutine steps them.
 type Codec struct {
 	Spec     *mdl.Spec
 	Parser   *parser.Parser
@@ -179,9 +182,10 @@ type Counters struct {
 // invocations are serialised with observer invocations, so hook
 // implementations need no locking of their own. Multiple Hooks sets
 // compose: each registered set is invoked in registration order.
-// Callbacks run on engine goroutines (ingest workers, session
-// goroutines): keep them fast, and never call Close or Shutdown
-// synchronously from inside one — spawn a goroutine instead.
+// Callbacks run on whichever goroutine steps the session — an ingest
+// worker, a requester socket's callback, the node timer, or Close: keep
+// them fast, and never call Close or Shutdown synchronously from inside
+// one — spawn a goroutine instead.
 type Hooks struct {
 	// SessionStart fires when an initiator request is admitted as a
 	// new session.
@@ -215,7 +219,6 @@ type caseConfig struct {
 	maxSessions  int
 	shardCount   int
 	traceRing    int
-	baseCtx      context.Context
 }
 
 // hostConfig holds the settings of a Host.
@@ -297,19 +300,6 @@ func WithShardCount(n int) Option {
 	return func(c *config) {
 		if n > 0 {
 			c.shardCount = n
-		}
-	}
-}
-
-// WithContext parents every session context on ctx, so cancelling it
-// reaches each session goroutine directly and tears the session down.
-// Closing the engine itself on cancellation is the deployment's job
-// (provision.Deploy arms one watcher for the whole node). The default
-// is context.Background().
-func WithContext(ctx context.Context) Option {
-	return func(c *config) {
-		if ctx != nil {
-			c.baseCtx = ctx
 		}
 	}
 }
@@ -405,11 +395,8 @@ type Engine struct {
 	stageHists [trace.NumStages]*hist.Histogram
 	sessHist   *hist.Histogram
 
-	// Lifecycle. state moves strictly forward; ctx/cancel derive from
-	// the caller's WithContext and every session context hangs off them.
-	state  atomic.Int32
-	ctx    context.Context
-	cancel context.CancelFunc
+	// Lifecycle. state moves strictly forward.
+	state atomic.Int32
 	// drained is closed (once) when the engine is draining and the
 	// last live session has finished.
 	drained   chan struct{}
@@ -419,8 +406,10 @@ type Engine struct {
 	sem   chan struct{} // max-sessions semaphore
 	// pending counts this engine's jobs on the host — queued or on a
 	// worker — so Close can wait until none can still admit a session.
-	pending    sync.WaitGroup
-	sessionWG  sync.WaitGroup
+	pending sync.WaitGroup
+	// live counts admitted sessions until their executor has settled
+	// the last queued event, so Close can wait until no step runs.
+	live       sync.WaitGroup
 	closeMu    sync.RWMutex // serialises Inject's tokens+enqueue against Close
 	sessionSeq atomic.Uint64
 
@@ -478,7 +467,6 @@ func New(host *Host, merged *merge.Merged, codecs map[string]*Codec, opts ...Opt
 		maxSessions: defaultMaxSessions,
 		shardCount:  defaultShardCount,
 		traceRing:   defaultTraceRing,
-		baseCtx:     context.Background(),
 	}}
 	for _, o := range opts {
 		o(&c)
@@ -498,7 +486,6 @@ func New(host *Host, merged *merge.Merged, codecs map[string]*Codec, opts ...Opt
 		e.stageHists[i] = &hist.Histogram{}
 	}
 	e.sessHist = &hist.Histogram{}
-	e.ctx, e.cancel = context.WithCancel(e.baseCtx)
 	e.table = newSessionTable(e.shardCount)
 	e.sem = make(chan struct{}, e.maxSessions)
 	return e, nil
@@ -618,11 +605,11 @@ func (e *Engine) AwaitsEntry(proto, msg, ip string) bool {
 }
 
 // Close stops the engine immediately: its jobs still queued on the
-// host are settled as drops, jobs already on a worker finish, and live
-// sessions are torn down (their per-session contexts are cancelled),
-// draining every session goroutine before returning. No session is
-// admitted after Close returns. For a graceful stop that lets live
-// sessions finish first, use Shutdown.
+// host are settled as drops, jobs already on a worker finish, and every
+// live session is torn down: it finishes as Failed with an error
+// wrapping serrors.ErrClosed, and its SessionEnd hook fires. Close
+// returns once no step of the engine is running or can start. For a
+// graceful stop that lets live sessions finish first, use Shutdown.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	// state is the single source of truth for the lifecycle; the swap
@@ -637,12 +624,10 @@ func (e *Engine) Close() error {
 	e.host.remove(e)
 	e.pending.Wait()
 	for _, s := range e.table.removeAll() {
-		s.cancel()
+		e.host.tracker.WorkAdd()
+		s.post(sessEvent{kind: evClose})
 	}
-	e.sessionWG.Wait()
-	// Release the engine context last: session teardown above must not
-	// race a parent-cancellation signal with individual cancels.
-	e.cancel()
+	e.live.Wait()
 	e.signalDrained() // a closed engine has, vacuously, drained
 	return nil
 }
@@ -746,9 +731,6 @@ func (e *Engine) hookDrop(origin netapi.Addr, reason error) {
 	}
 }
 
-// releaseSlot returns a max-sessions semaphore slot.
-func (e *Engine) releaseSlot() { <-e.sem }
-
 // classifyLane assigns an entry payload its priority lane. A payload
 // whose routing key has a live session is mid-session data; the
 // initiator protocol's payloads are control (session entry and
@@ -821,9 +803,9 @@ func (e *Engine) ingest(job ingestJob) {
 	}
 	// Route to a session awaiting this message on this protocol,
 	// preferring one opened by the same peer host.
-	if s := e.table.findAwaiting(job.proto, msg.Name, job.src.Addr.IP); s != nil {
+	if s := e.table.claimAwaiting(job.proto, msg.Name, job.src.Addr.IP); s != nil {
 		s.recordIngest(tm)
-		e.enqueue(s, sessEvent{kind: evEntry, proto: job.proto, msg: msg, src: job.src})
+		s.post(sessEvent{kind: evEntry, proto: job.proto, msg: msg, src: job.src})
 		return
 	}
 	e.bump(&e.Ignored)
@@ -837,8 +819,8 @@ func (e *Engine) ingest(job ingestJob) {
 // no session under the key, or a live one already past this message
 // (a legacy client reusing one socket for a new interaction) — an
 // independent session is admitted against the max-sessions semaphore
-// and started on its own goroutine, under a uniquified key when the
-// base key is taken. One session per initiator request, as in the
+// and its first steps run on this worker, under a uniquified key when
+// the base key is taken. One session per initiator request, as in the
 // paper.
 func (e *Engine) openSession(job ingestJob, msg *message.Message, tm ingestTiming) {
 	key := job.key
@@ -846,16 +828,11 @@ func (e *Engine) openSession(job ingestJob, msg *message.Message, tm ingestTimin
 	sh.mu.Lock()
 	if s, ok := sh.sessions[key]; ok {
 		if ak := s.await.Load(); ak != nil && ak.proto == job.proto && ak.msg == msg.Name {
-			if len(s.inbox) < inboxCap {
-				s.recordIngest(tm)
-				s.inbox <- sessEvent{kind: evEntry, proto: job.proto, msg: msg, src: job.src}
-				sh.mu.Unlock()
-			} else {
-				sh.mu.Unlock()
-				e.host.tracker.WorkDone()
-				e.bump(&e.Dropped)
-				msg.Release() // dropped before delivery: recycle
-			}
+			// Posted outside the shard lock: the post may run the
+			// session, whose finish takes the lock.
+			sh.mu.Unlock()
+			s.recordIngest(tm)
+			s.post(sessEvent{kind: evEntry, proto: job.proto, msg: msg, src: job.src})
 			return
 		}
 		// The keyed session is mid-program: this is a new interaction
@@ -873,9 +850,9 @@ func (e *Engine) openSession(job ingestJob, msg *message.Message, tm ingestTimin
 	e.admitLocked(sh, key, e.sessionSeq.Add(1), msg, job.src, tm)
 }
 
-// admitLocked creates and starts a session under key. The caller holds
-// sh.mu (the shard owning key) and a work token; both are released or
-// transferred on every path.
+// admitLocked creates a session under key and runs its first steps on
+// the caller, up to its first receive. The caller holds sh.mu (the
+// shard owning key) and a work token; both are released on every path.
 func (e *Engine) admitLocked(sh *tableShard, key string, seq uint64, msg *message.Message, src netengine.Source, tm ingestTiming) {
 	switch State(e.state.Load()) {
 	case StateClosed:
@@ -910,60 +887,43 @@ func (e *Engine) admitLocked(sh *tableShard, key string, seq uint64, msg *messag
 		e.host.tracker.WorkDone()
 		return
 	}
+	// Born running: events posted before its first steps return queue.
 	s := newSession(e, key, seq, msg, src, tm)
 	sh.sessions[key] = s
-	e.sessionWG.Add(1)
-	go s.run()
-	s.inbox <- sessEvent{kind: evStart} // fresh buffered inbox: never blocks
+	e.live.Add(1)
 	sh.mu.Unlock()
 	e.hookSessionStart(src.Addr, s.start)
+	s.advance()
+	s.execute()
+	e.host.tracker.WorkDone()
 }
 
-// enqueue hands a payload event to a session's inbox if the session
-// is still registered. The caller must hold a work token: ownership
-// transfers to the session goroutine on success and is released here
-// otherwise. The soft inboxCap check keeps drops at the documented
-// bound; the channel's physical slack guarantees openSession's
-// write-lock-guarded rendezvous send can never block. Timer events
-// use deliverTimer, never this path.
-func (e *Engine) enqueue(s *session, ev sessEvent) bool {
-	sh := e.table.shardFor(s.key)
-	sh.mu.RLock()
-	if sh.sessions[s.key] != s {
-		sh.mu.RUnlock()
-		e.host.tracker.WorkDone()
+// overflow settles a payload posted to a session whose queue is full:
+// counted Dropped, reported as ErrOverloaded, token returned.
+func (e *Engine) overflow(ev sessEvent) {
+	e.bump(&e.Dropped)
+	releaseEventMsg(ev)
+	e.hookDrop(ev.src.Addr, serrors.Mark(
+		fmt.Errorf("engine: %s: session queue full, payload dropped", e.merged.Name),
+		serrors.ErrOverloaded))
+	e.host.tracker.WorkDone()
+}
+
+// undelivered settles an event its session finished before handling:
+// an entry payload is rerouted once or counted Ignored, anything else
+// is released; the token is returned.
+func (e *Engine) undelivered(s *session, ev sessEvent) {
+	if ev.kind == evEntry {
+		e.rerouteEntry(s, ev)
+	} else {
 		releaseEventMsg(ev)
-		return false
 	}
-	if len(s.inbox) >= inboxCap {
-		sh.mu.RUnlock()
-		e.bump(&e.Dropped)
-		releaseEventMsg(ev)
-		e.hookDrop(ev.src.Addr, serrors.Mark(
-			fmt.Errorf("engine: %s: session inbox full, payload dropped", e.merged.Name),
-			serrors.ErrOverloaded))
-		e.host.tracker.WorkDone()
-		return false
-	}
-	select {
-	case s.inbox <- ev:
-		sh.mu.RUnlock()
-		return true
-	default:
-		sh.mu.RUnlock()
-		e.bump(&e.Dropped)
-		releaseEventMsg(ev)
-		e.hookDrop(ev.src.Addr, serrors.Mark(
-			fmt.Errorf("engine: %s: session inbox full, payload dropped", e.merged.Name),
-			serrors.ErrOverloaded))
-		e.host.tracker.WorkDone()
-		return false
-	}
+	e.host.tracker.WorkDone()
 }
 
 // releaseEventMsg recycles the parsed message — and the receive-buffer
-// lease — of an event that was never delivered. The enqueuer is the
-// sole holder on these paths, so the pooled fast path keeps recycling
+// lease — of an event that was never delivered. Whoever settles it is
+// the sole holder on these paths, so the pooled fast path keeps recycling
 // under overload — dropped payloads must not degrade into per-packet
 // garbage.
 func releaseEventMsg(ev sessEvent) {
@@ -975,50 +935,21 @@ func releaseEventMsg(ev sessEvent) {
 	}
 }
 
-// deliverTimer posts a fired receive timer to its session. Timer
-// delivery is guaranteed: the dedicated channel is priority-drained
-// by the session loop, and in the never-expected case that it is
-// momentarily full the delivery is retried — with the token released
-// in between so a virtual-clock runtime can advance to the retry —
-// rather than dropped, because a lost timer would stall the session
-// forever and leak its max-sessions slot.
-func (e *Engine) deliverTimer(s *session, gen uint64) {
-	sh := e.table.shardFor(s.key)
-	sh.mu.RLock()
-	alive := sh.sessions[s.key] == s
-	if alive {
-		select {
-		case s.timerCh <- sessEvent{kind: evTimer, gen: gen}:
-			sh.mu.RUnlock()
-			return
-		default:
-		}
-	}
-	sh.mu.RUnlock()
-	e.host.tracker.WorkDone()
-	if alive {
-		e.host.node.After(time.Millisecond, func() {
-			e.host.tracker.WorkAdd()
-			e.deliverTimer(s, gen)
-		})
-	}
-}
-
 // rerouteEntry gives an entry payload that reached a session already
-// past the awaited state one more chance to find the session actually
-// awaiting it: the original routing choice is made from a lock-free
-// await snapshot, which can go stale by delivery time under realnet
-// concurrency, and the payload would otherwise starve the session it
-// was meant for. One hop only; if no other session awaits it, the
-// payload is counted Ignored. Called from the session goroutine, which
-// holds the event's work token (released by its run loop); the forward
-// takes a token of its own.
+// past the awaited state — or one that finished before handling it —
+// one more chance to find the session actually awaiting it: the
+// original routing choice is made from a lock-free await snapshot,
+// which can go stale by delivery time under realnet concurrency, and
+// the payload would otherwise starve the session it was meant for. One
+// hop only; if no other session awaits it, the payload is counted
+// Ignored. The caller holds the event's work token and returns it; the
+// forward takes a token of its own.
 func (e *Engine) rerouteEntry(s *session, ev sessEvent) {
 	if !ev.rerouted {
-		if s2 := e.table.findAwaiting(ev.proto, ev.msg.Name, ev.src.Addr.IP); s2 != nil && s2 != s {
+		if s2 := e.table.claimAwaiting(ev.proto, ev.msg.Name, ev.src.Addr.IP); s2 != nil && s2 != s {
 			ev.rerouted = true
 			e.host.tracker.WorkAdd()
-			e.enqueue(s2, ev) // on failure, enqueue recycles the message
+			s2.post(ev)
 			return
 		}
 	}
@@ -1026,8 +957,8 @@ func (e *Engine) rerouteEntry(s *session, ev sessEvent) {
 	releaseEventMsg(ev) // no session wanted it: recycle
 }
 
-// sessionDone finishes a session: it is called only from the session's
-// own goroutine.
+// sessionDone finishes a session: it is called only by the session's
+// executor.
 func (e *Engine) sessionDone(s *session, err error) {
 	if s.finished {
 		return
@@ -1069,7 +1000,7 @@ func (e *Engine) sessionDone(s *session, err error) {
 		e.signalDrained()
 	}
 	e.statsMu.Unlock()
-	e.releaseSlot()
+	<-e.sem // return the max-sessions slot
 	if len(e.hooks) > 0 {
 		e.obsMu.Lock()
 		for _, h := range e.hooks {

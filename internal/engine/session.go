@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,39 +16,34 @@ import (
 	"starlink/internal/translation"
 )
 
-// inboxCap bounds each session's event inbox. A session that cannot
-// keep up has its excess payloads dropped (counted in Dropped) instead
-// of stalling the listeners — UDP semantics end to end.
-const inboxCap = 64
-
-// Timer events must never be lost: a dropped receive timer would
-// stall the session forever and leak its max-sessions slot. They
-// therefore travel on a dedicated per-session channel (timerCh) that
-// the run loop priority-drains, with a token-safe retry on the
-// never-expected full case — structurally immune to payload
-// backpressure. timerChCap covers the worst case of one stale fire
-// from a cleared wait plus a fresh fire of the re-armed timer
-// arriving while one event is being handled.
-const timerChCap = 4
+// queueCap bounds the events queued on one session while a step of it
+// runs: a payload posted to a full queue is dropped (counted in
+// Dropped) instead of stalling the listeners — UDP semantics end to
+// end. Timer and teardown events are queued past the bound: a lost
+// receive timer would stall the session forever and leak its
+// max-sessions slot.
+const queueCap = 64
 
 type eventKind uint8
 
 const (
-	// evStart begins executing the compiled program (the initiating
-	// request is already in the session history).
-	evStart eventKind = iota
 	// evEntry is a parsed message routed from an entry listener.
-	evEntry
+	evEntry eventKind = iota
 	// evData is a raw payload from one of the session's requester
-	// channels; it is parsed on the session goroutine.
+	// channels; it is parsed by the session's executor.
 	evData
 	// evTimer is a fired receive timer (convergence window or timeout).
 	evTimer
+	// evClose tears the session down (engine Close).
+	evClose
 )
 
-// sessEvent is one unit of session work. Every event in flight holds
-// one work-tracker token; the token is released when the session
-// finishes handling the event (or when the event is dropped).
+// bounded reports whether events of the kind are subject to queueCap.
+func (k eventKind) bounded() bool { return k == evEntry || k == evData }
+
+// sessEvent is one unit of session work. Every posted event holds one
+// work-tracker token; the token is released when the session finishes
+// handling the event (or when the event is dropped).
 type sessEvent struct {
 	kind  eventKind
 	proto string
@@ -69,33 +64,42 @@ type sessEvent struct {
 }
 
 // awaitKey is the published receive state used for entry routing.
+// windowed marks a convergence-window receive, which collects every
+// matching payload; any other receive takes one, so routing claims it.
 type awaitKey struct {
-	proto string
-	msg   string
+	proto    string
+	msg      string
+	windowed bool
 }
 
-// session executes the compiled program for one bridged interaction on
-// its own goroutine. All fields below the marker are confined to that
-// goroutine; cross-goroutine interaction happens only through inbox,
-// the session context and the published await snapshot.
+// session is one bridged interaction: a state machine over the
+// compiled program that takes one step per event, with no goroutine of
+// its own. Whoever delivers an event — the ingest worker for admission
+// and entry payloads, a requester socket's callback for its payloads,
+// the node timer for receive timers, Close for teardown — posts it; the
+// poster that finds the session idle becomes its executor and runs the
+// queued events, so two steps of one session never overlap. Fields
+// below the executor marker are touched only by the current executor.
 type session struct {
 	e        *Engine
 	key      string
 	seq      uint64
 	originIP string
-	inbox    chan sessEvent
-	timerCh  chan sessEvent
-	// ctx is the session's own context, derived from the engine's
-	// lifetime context: cancelling either tears the session down. The
-	// engine cancels individual sessions on Close (and a caller's
-	// WithContext cancellation reaches every session through the
-	// parent edge).
-	ctx    context.Context
-	cancel context.CancelFunc
-	await  atomic.Pointer[awaitKey]
+	await    atomic.Pointer[awaitKey]
 
-	// --- goroutine-confined state ---
+	// mu guards the events queued while a step runs and the running
+	// and closed (finished: posts are refused) flags. It is never held
+	// across a step.
+	mu      sync.Mutex
+	queue   []sessEvent
+	running bool
+	closed  bool
+
+	// --- executor-confined state ---
 	pc int
+	// awaitPC is the program counter of the receive whose await key was
+	// last published; a key claimed by entry routing is not republished.
+	awaitPC int
 	// origin is the source of the initiating request.
 	origin netengine.Source
 	// entrySources remembers, per protocol, the latest entry peer so
@@ -141,16 +145,14 @@ func newSession(e *Engine, key string, seq uint64, first *message.Message, src n
 		key:          key,
 		seq:          seq,
 		originIP:     src.Addr.IP,
-		inbox:        make(chan sessEvent, inboxCap+e.host.ingestWorkers+2),
-		timerCh:      make(chan sessEvent, timerChCap),
-		pc:           1, // step 0 is the initiator receive, satisfied by first
+		running:      true, // the admitting worker runs the first steps
+		pc:           1,    // step 0 is the initiator receive, satisfied by first
 		origin:       src,
 		entrySources: map[string]netengine.Source{},
 		history:      map[string][]*message.Message{},
 		requesters:   map[string]*netengine.Requester{},
 		start:        e.host.node.Now(),
 	}
-	s.ctx, s.cancel = context.WithCancel(e.ctx)
 	if e.windowJitter > 0 {
 		s.rng = rand.New(rand.NewSource(e.jitterSeed + int64(s.seq)*0x9E3779B9))
 	}
@@ -184,82 +186,75 @@ func (s *session) recordIngest(tm ingestTiming) {
 	}
 }
 
-// run is the session goroutine: it consumes inbox and timer events
-// until the session finishes or the engine shuts it down, then drains
-// both channels so every in-flight work token is released. Fired
-// timers are drained with priority so payload pressure can never
-// starve the session's liveness timer.
-func (s *session) run() {
-	defer s.e.sessionWG.Done()
-	for {
-		for !s.finished {
-			select {
-			case ev := <-s.timerCh:
-				s.handle(ev)
-				s.e.host.tracker.WorkDone()
-				continue
-			default:
-			}
-			break
-		}
-		if s.finished {
-			s.drainAll()
-			return
-		}
-		select {
-		case ev := <-s.inbox:
-			s.handle(ev)
-			s.e.host.tracker.WorkDone()
-		case ev := <-s.timerCh:
-			s.handle(ev)
-			s.e.host.tracker.WorkDone()
-		case <-s.ctx.Done():
-			// Forcible teardown (engine Close, drain deadline, context
-			// cancellation) still reports through sessionDone so the
-			// session is counted (Failed) and observers see its end —
-			// sessions must never vanish from the metrics surface.
-			s.e.sessionDone(s, serrors.Mark(
-				fmt.Errorf("engine: %s: session from %s torn down before completion",
-					s.e.merged.Name, s.origin.Addr),
-				serrors.ErrClosed))
-			s.drainAll()
-			return
-		}
+// post hands ev to the session; the caller holds the event's work
+// token, which passes to the session on every path. If no step of the
+// session is running, the caller becomes its executor: it handles ev,
+// then every event queued meanwhile. Otherwise ev is queued for the
+// running executor — so a post re-entered from a step's own stack only
+// queues — unless it is a payload and queueCap events are queued, in
+// which case it is dropped. A finished session refuses the event.
+func (s *session) post(ev sessEvent) {
+	s.mu.Lock()
+	switch {
+	case s.closed:
+		s.mu.Unlock()
+		s.e.undelivered(s, ev)
+		return
+	case !s.running:
+		s.running = true
+		s.mu.Unlock()
+		s.step(ev)
+		s.execute()
+		return
+	case ev.kind.bounded() && len(s.queue) >= queueCap:
+		s.mu.Unlock()
+		s.e.overflow(ev)
+		return
 	}
+	s.queue = append(s.queue, ev)
+	s.mu.Unlock()
 }
 
-// drainAll releases the tokens of events that arrived before the
-// session was unregistered from the table (after which no new enqueue
-// can target it).
-func (s *session) drainAll() {
+// step handles one event and returns its work token.
+func (s *session) step(ev sessEvent) {
+	s.handle(ev)
+	s.e.host.tracker.WorkDone()
+}
+
+// execute runs the queued events until none is left, then gives up the
+// executor role; the caller holds it (running is set). Once the
+// session has finished it refuses further posts, settles what is still
+// queued and leaves the engine's live count.
+func (s *session) execute() {
 	for {
-		select {
-		case ev := <-s.inbox:
-			s.e.host.tracker.WorkDone()
-			if ev.msg != nil {
-				// Undelivered entry messages were never stored in the
-				// (already recycled) history; this drain holds the last
-				// reference.
-				ev.msg.Release()
+		s.mu.Lock()
+		switch {
+		case s.finished:
+			s.closed, s.running = true, false
+			rest := s.queue
+			s.queue = nil
+			s.mu.Unlock()
+			for _, ev := range rest {
+				s.e.undelivered(s, ev)
 			}
-			if ev.lease != nil {
-				// Undelivered leased payloads return their receive
-				// buffer at session cleanup — the backstop of the
-				// lease contract.
-				ev.lease.Release()
-			}
-		case <-s.timerCh:
-			s.e.host.tracker.WorkDone()
-		default:
+			s.e.live.Done()
+			return
+		case len(s.queue) == 0:
+			s.running = false
+			s.mu.Unlock()
 			return
 		}
+		ev := s.queue[0]
+		n := copy(s.queue, s.queue[1:])
+		s.queue[n] = sessEvent{} // drop the stale tail copy's references
+		s.queue = s.queue[:n]
+		s.mu.Unlock()
+		s.step(ev)
 	}
 }
 
 func (s *session) handle(ev sessEvent) {
 	switch ev.kind {
-	case evStart:
-		s.advance()
 	case evEntry:
 		if s.waitProto != ev.proto || s.waitMsg != ev.msg.Name {
 			// Not ours (stale routing): pass it on without touching
@@ -303,6 +298,14 @@ func (s *session) handle(ev sessEvent) {
 		} else {
 			s.e.sessionDone(s, fmt.Errorf("engine: timeout waiting for %s/%s", s.waitProto, s.waitMsg))
 		}
+	case evClose:
+		// Forcible teardown still reports through sessionDone so the
+		// session is counted (Failed) and observers see its end —
+		// sessions must never vanish from the metrics surface.
+		s.e.sessionDone(s, serrors.Mark(
+			fmt.Errorf("engine: %s: session from %s torn down before completion",
+				s.e.merged.Name, s.origin.Addr),
+			serrors.ErrClosed))
 	}
 }
 
@@ -318,9 +321,6 @@ func (s *session) lookup(name string) *message.Message {
 	}
 	return h[len(h)-1]
 }
-
-// History exposes the stored sequence for a message name (tests).
-func (s *session) History(name string) []*message.Message { return s.history[name] }
 
 // advance executes program steps until the session blocks on a receive
 // or completes.
@@ -348,9 +348,9 @@ func (s *session) advance() {
 			// peer answering at once (a control point fetching the
 			// description the moment our SSDP response lands) must find
 			// the session already awaiting it, not race armReceive. The
-			// payload waits in the inbox until this loop returns.
-			for _, next := range s.e.program[s.pc+1:] {
-				if next.Kind == merge.StepRecv {
+			// payload waits in the session's queue until this step ends.
+			for next := s.pc + 1; next < len(s.e.program); next++ {
+				if s.e.program[next].Kind == merge.StepRecv {
 					s.publishAwait(next)
 					break
 				}
@@ -361,7 +361,7 @@ func (s *session) advance() {
 			}
 			s.pc++
 		case merge.StepRecv:
-			s.armReceive(step)
+			s.armReceive()
 			return
 		}
 	}
@@ -447,7 +447,7 @@ func (s *session) runSend(step merge.Step) error {
 		proto := step.Protocol
 		r, err = s.e.host.net.NewRequester(step.Color, dest, codec.Framer, func(data []byte, src netengine.Source, lease *netapi.Buffer) {
 			s.e.host.tracker.WorkAdd()
-			s.e.enqueue(s, sessEvent{kind: evData, proto: proto, data: data, lease: lease, arrived: time.Now()})
+			s.post(sessEvent{kind: evData, proto: proto, data: data, lease: lease, arrived: time.Now()})
 		})
 		if err != nil {
 			return err
@@ -465,14 +465,15 @@ func (s *session) runSend(step merge.Step) error {
 	return nil
 }
 
-// armReceive blocks the session on a receive step. The timer callback
-// fires on the runtime dispatcher, so it only posts an event back to
-// the inbox — never touches session state.
-func (s *session) armReceive(step merge.Step) {
+// armReceive blocks the session on the receive step at pc. The timer
+// callback posts an event back to the session, which the poster runs
+// if the session is idle.
+func (s *session) armReceive() {
+	step := s.e.program[s.pc]
 	s.waitProto = step.Protocol
 	s.waitMsg = step.Message
 	s.collected = nil
-	s.publishAwait(step)
+	s.publishAwait(s.pc)
 	scheme, err := netengine.SchemeOf(step.Color)
 	if err != nil {
 		s.e.sessionDone(s, err)
@@ -495,17 +496,21 @@ func (s *session) armReceive(step merge.Step) {
 	s.timerSet = true
 	s.timer = s.e.host.node.After(wait, func() {
 		s.e.host.tracker.WorkAdd()
-		s.e.deliverTimer(s, gen)
+		s.post(sessEvent{kind: evTimer, gen: gen})
 	})
 }
 
-// publishAwait publishes the receive step as the session's await key
-// for entry routing, unless it already is.
-func (s *session) publishAwait(step merge.Step) {
-	if ak := s.await.Load(); ak != nil && ak.proto == step.Protocol && ak.msg == step.Message {
+// publishAwait publishes the receive step at pc as the session's await
+// key for entry routing, once: after entry routing has claimed the key
+// for a payload on its way here, it stays withdrawn.
+func (s *session) publishAwait(pc int) {
+	if s.awaitPC == pc {
 		return
 	}
-	s.await.Store(&awaitKey{proto: step.Protocol, msg: step.Message})
+	s.awaitPC = pc
+	step := s.e.program[pc]
+	scheme, _ := netengine.SchemeOf(step.Color) // an invalid color fails armReceive
+	s.await.Store(&awaitKey{proto: step.Protocol, msg: step.Message, windowed: scheme.Convergence > 0})
 }
 
 func (s *session) windowExpired() {
@@ -533,7 +538,7 @@ func (s *session) deliver(proto string, msg *message.Message) {
 	if s.waitProto != proto || s.waitMsg != msg.Name {
 		s.rec.Record(trace.StageRecv, trace.OutcomeDrop, 0)
 		s.e.bump(&s.e.Ignored)
-		// Freshly parsed on this goroutine and never stored: recycle.
+		// Freshly parsed by this executor and never stored: recycle.
 		msg.Release()
 		return
 	}
@@ -548,7 +553,6 @@ func (s *session) deliver(proto string, msg *message.Message) {
 }
 
 func (s *session) cleanup() {
-	s.cancel() // release the session context (idempotent)
 	if s.timerSet {
 		s.e.host.node.Cancel(s.timer)
 		s.timerSet = false

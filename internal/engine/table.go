@@ -54,9 +54,8 @@ func (t *sessionTable) contains(key string) bool {
 	return ok
 }
 
-// remove unregisters s if it is still the session bound to key.
-// Returning from remove guarantees no further enqueue can target s:
-// enqueues hold the shard read lock while checking membership.
+// remove unregisters s if it is still the session bound to key, so no
+// later lookup — routing, rendezvous, lane classification — finds it.
 func (t *sessionTable) remove(key string, s *session) {
 	sh := t.shardFor(key)
 	sh.mu.Lock()
@@ -66,7 +65,8 @@ func (t *sessionTable) remove(key string, s *session) {
 	sh.mu.Unlock()
 }
 
-// removeAll empties the table and returns every session that was live.
+// removeAll empties the table in place and returns every session that
+// was live.
 func (t *sessionTable) removeAll() []*session {
 	var out []*session
 	for i := range t.shards {
@@ -75,7 +75,7 @@ func (t *sessionTable) removeAll() []*session {
 		for _, s := range sh.sessions {
 			out = append(out, s)
 		}
-		sh.sessions = map[string]*session{}
+		clear(sh.sessions)
 		sh.mu.Unlock()
 	}
 	return out
@@ -88,7 +88,7 @@ func (t *sessionTable) removeAll() []*session {
 // by the lowest session sequence number (oldest session), keeping the
 // choice deterministic despite map iteration order. Sessions publish
 // their awaited (proto, msg) via an atomic snapshot, so the scan never
-// touches goroutine-confined session state; a stale match is harmless
+// touches executor-confined session state; a stale match is harmless
 // because the session re-checks on delivery.
 func (t *sessionTable) findAwaiting(proto, msg, ip string) *session {
 	var sameIP, fallback *session
@@ -116,10 +116,28 @@ func (t *sessionTable) findAwaiting(proto, msg, ip string) *session {
 	return fallback
 }
 
+// claimAwaiting is findAwaiting for an entry payload about to be posted
+// to the session found. A receive without a convergence window takes
+// one message, so its await key is withdrawn: the next payload goes to
+// another session. A windowed receive collects every match.
+func (t *sessionTable) claimAwaiting(proto, msg, ip string) *session {
+	for {
+		s := t.findAwaiting(proto, msg, ip)
+		if s == nil {
+			return nil
+		}
+		// Unless claimed or moved on since the scan; then look again.
+		if ak := s.await.Load(); ak != nil && ak.proto == proto && ak.msg == msg &&
+			(ak.windowed || s.await.CompareAndSwap(ak, nil)) {
+			return s
+		}
+	}
+}
+
 // each visits every registered session under its shard's read lock.
 // fn must be fast and must only touch the session's published state
 // (immutable fields and the wait-free recorder), never its
-// goroutine-confined fields.
+// executor-confined fields.
 func (t *sessionTable) each(fn func(*session)) {
 	for i := range t.shards {
 		sh := &t.shards[i]

@@ -277,7 +277,10 @@ func Detach(n Node) Node {
 // a fresh connection. Only park a connection
 // whose inbound stream is at a clean frame boundary: bytes that arrive
 // while parked evict the connection, but a partial frame already
-// consumed would silently desynchronise the next user.
+// consumed would silently desynchronise the next user. ParkConn may be
+// called from inside the connection's own StreamHandler (a session
+// finishing on the reply it was waiting for); the park then completes
+// when the handler returns.
 type ConnParker interface {
 	ParkConn(c Conn) bool
 }
@@ -285,12 +288,13 @@ type ConnParker interface {
 // WorkTracker is optionally implemented by nodes of runtimes whose
 // event loop must know about work handed off to other goroutines.
 //
-// The concurrent Automata Engine processes inbound payloads on
-// per-session goroutines instead of inside the dispatch callback.
-// A runtime with a virtual clock (simnet) must therefore not advance
-// time — nor let RunUntil conclude "no pending events" — while such
-// work is still in flight, because the work will schedule new events
-// when it completes. The contract:
+// The concurrent Automata Engine parses and routes entry payloads, and
+// runs the session steps they trigger, on its own ingest workers
+// instead of inside the dispatch callback. A runtime with a virtual
+// clock (simnet) must therefore not advance time — nor let RunUntil
+// conclude "no pending events" — while such work is still in flight,
+// because the work will schedule new events when it completes. The
+// contract:
 //
 //   - WorkAdd is called before a payload/timer is handed off the
 //     dispatching callback; WorkDone when the resulting processing

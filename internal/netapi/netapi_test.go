@@ -85,7 +85,7 @@ func TestSourceReplyRoundTrip(t *testing.T) {
 
 // Concurrent replies from multiple goroutines must all arrive: the
 // runtimes guarantee Send is safe to call off the dispatcher (the
-// engine replies from per-session goroutines).
+// engine replies from whichever goroutine steps a session).
 func TestConcurrentReplySimnet(t *testing.T) {
 	sim := simnet.New()
 	serverNode, _ := sim.NewNode("10.0.0.5")

@@ -21,8 +21,9 @@
 // (netapi.Detach), so distinct endpoints dispatch in parallel while
 // callbacks for one endpoint stay serial — framing state is owned per
 // endpoint and needs no locking on the delivery path. Reply/Send may
-// be called from any goroutine (the engine replies from per-session
-// goroutines).
+// be called from any goroutine (the engine replies from whichever
+// goroutine steps the session: an ingest worker, a requester
+// callback, a timer).
 //
 // Buffer ownership: datagram payloads are handed to the Handler with
 // the leased receive buffer backing them (nil for framed stream
@@ -297,7 +298,7 @@ type Requester struct {
 
 	// frMu guards the stream framing state: delivery mutates it from
 	// the connection's serial domain, while Close inspects it from the
-	// session goroutine to decide whether the connection is at a clean
+	// session's executor to decide whether the connection is at a clean
 	// frame boundary and can be parked for reuse.
 	frMu  sync.Mutex
 	frBuf []byte

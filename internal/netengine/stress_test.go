@@ -13,9 +13,9 @@ import (
 	"starlink/internal/realnet"
 )
 
-// Many per-session goroutines replying on one realnet stream
-// connection while the peer keeps sending: the engine's sessions do
-// exactly this (Reply from session goroutines, entry payloads arriving
+// Many goroutines replying on one realnet stream connection while the
+// peer keeps sending: the engine's sessions do exactly this (Reply
+// from the workers, callbacks and timers stepping them, entry payloads arriving
 // concurrently), so the conn's write coalescing and the framer's
 // reassembly must hold up under -race and deliver every frame intact.
 func TestConcurrentReplySendOneStreamConn(t *testing.T) {

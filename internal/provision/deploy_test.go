@@ -238,7 +238,7 @@ func TestIdleGoroutinesIndependentOfCases(t *testing.T) {
 // SSDP response arrives — instead of after its MX window — must find
 // the upnp-to-bonjour session already awaiting the GET: the session
 // publishes the await key before it sends the response. Over real
-// loopback sockets, so the GET races the session goroutine for real.
+// loopback sockets, so the GET races the session's send for real.
 func TestDescriptionGetOnFirstResponse(t *testing.T) {
 	const rounds = 100
 	// The description server binds a real TCP port: move it off the

@@ -221,10 +221,8 @@ type Dispatcher struct {
 	logf           func(format string, args ...any)
 	hooks          []Hooks
 	trialParseOnly bool
-	// ownsNode and ctx are Deploy's: it closes the node with the
-	// dispatcher, and ctx parents every session context.
+	// ownsNode is Deploy's: it closes the node with the dispatcher.
 	ownsNode bool
-	ctx      context.Context
 
 	// state moves strictly forward: Running → (Draining →) Closed.
 	state atomic.Int32
@@ -265,7 +263,6 @@ func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) (*D
 		node:      node,
 		deployed:  map[string]*deployment{},
 		listeners: map[string]*listener{},
-		ctx:       context.Background(),
 		quit:      make(chan struct{}),
 	}
 	for i := range d.classifyHists {
@@ -291,8 +288,9 @@ func NewDispatcher(reg *registry.Registry, node netapi.Node, opts ...Option) (*D
 //
 // ctx governs both the deployment and its lifetime (like
 // exec.CommandContext): a ctx already cancelled aborts the deploy, and
-// cancelling it later closes the dispatcher, tearing down in-flight
-// sessions — whose contexts hang off ctx — and releasing the node.
+// cancelling it later closes the dispatcher — one watcher per node —
+// which closes every engine, tearing down in-flight sessions as Failed
+// with serrors.ErrClosed, and releases the node.
 func Deploy(ctx context.Context, reg *registry.Registry, rt netapi.Runtime, hostIP string, opts ...Option) (*Dispatcher, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("provision: deploy: %w", err)
@@ -307,7 +305,6 @@ func Deploy(ctx context.Context, reg *registry.Registry, rt netapi.Runtime, host
 		return nil, err
 	}
 	d.ownsNode = true
-	d.ctx = ctx
 	if err := d.Sync(); err != nil {
 		_ = d.Close()
 		return nil, err
@@ -500,7 +497,6 @@ func (d *Dispatcher) Sync() error {
 // Caller holds d.mu.
 func (d *Dispatcher) deploy(name string, c *registry.CompiledCase) (*deployment, error) {
 	opts := append([]engine.Option(nil), d.engOpts...)
-	opts = append(opts, engine.WithContext(d.ctx))
 	if len(d.hooks) > 0 {
 		caseName := name
 		opts = append(opts, engine.WithHooks(engine.Hooks{

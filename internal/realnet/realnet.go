@@ -796,6 +796,13 @@ type streamConn struct {
 	// the read loop while blocked. Immutable after the read loop starts.
 	gate *netapi.FlowGate
 
+	// pmu guards delivering (the read loop is inside recv, holding
+	// dom.mu) and parkReq: a ParkConn made meanwhile, typically by the
+	// handler itself, which the read loop completes when recv returns.
+	pmu        sync.Mutex
+	delivering bool
+	parkReq    bool
+
 	// Write coalescing: the first sender becomes the writer and drains
 	// the chunks queued by concurrent senders, so N concurrent sends
 	// become few syscalls while per-sender order is preserved. Each
@@ -938,7 +945,9 @@ func (rt *Runtime) claimParked(to netapi.Addr, recv netapi.StreamHandler, owner 
 // connection no longer closes with the node, it lives in the pool
 // (bounded per destination) until claimed or evicted. Bytes arriving
 // while parked evict the connection (they would desynchronise the
-// next user).
+// next user). A park requested while the connection's handler runs —
+// from inside it, say — completes when the handler returns; if the
+// connection is not clean by then it is closed instead.
 func (n *node) ParkConn(c netapi.Conn) bool {
 	sc, ok := c.(*streamConn)
 	if !ok || !sc.dialed {
@@ -959,14 +968,28 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	// and refuses — no write can start between the check and the state
 	// change. A concurrent claim likewise can never observe the
 	// connection pooled but still carrying the old handler.
+	sc.pmu.Lock()
+	if sc.delivering {
+		sc.parkReq = true
+		sc.pmu.Unlock()
+		return true
+	}
+	sc.pmu.Unlock()
 	sc.dom.mu.Lock()
-	n.rt.stateMu.Lock()
+	ok = sc.parkLocked()
+	sc.dom.mu.Unlock()
+	return ok
+}
+
+// parkLocked moves an active connection into the dial-reuse pool.
+// Caller holds sc.dom.mu.
+func (sc *streamConn) parkLocked() bool {
+	sc.rt.stateMu.Lock()
 	sc.wmu.Lock()
 	clean := sc.werr == nil && !sc.wbusy && len(sc.wqueue) == 0
-	if !clean || sc.state != connActive || len(n.rt.parked[sc.remote.Port]) >= maxParkedPerDest {
+	if !clean || sc.state != connActive || len(sc.rt.parked[sc.remote.Port]) >= maxParkedPerDest {
 		sc.wmu.Unlock()
-		n.rt.stateMu.Unlock()
-		sc.dom.mu.Unlock()
+		sc.rt.stateMu.Unlock()
 		return false
 	}
 	sc.wparked = true
@@ -974,13 +997,12 @@ func (n *node) ParkConn(c netapi.Conn) bool {
 	// grown it to many MB, which an idle pooled connection must not pin.
 	sc.wqueue, sc.wqspare, sc.wfree, sc.wvec = nil, nil, nil, nil
 	sc.state = connParked
-	n.rt.parked[sc.remote.Port] = append(n.rt.parked[sc.remote.Port], sc)
+	sc.rt.parked[sc.remote.Port] = append(sc.rt.parked[sc.remote.Port], sc)
 	sc.recv = nil
 	owner := sc.owner
 	sc.owner = nil
 	sc.wmu.Unlock()
-	n.rt.stateMu.Unlock()
-	sc.dom.mu.Unlock()
+	sc.rt.stateMu.Unlock()
 	if owner != nil {
 		owner.forget(sc)
 	}
@@ -1023,7 +1045,18 @@ func (sc *streamConn) readLoop() {
 				_ = sc.c.Close()
 				return
 			}
+			sc.pmu.Lock()
+			sc.delivering = true
+			sc.pmu.Unlock()
 			recv(sc, buf[:nr])
+			sc.pmu.Lock()
+			sc.delivering = false
+			park := sc.parkReq
+			sc.parkReq = false
+			sc.pmu.Unlock()
+			if park && !sc.parkLocked() {
+				_ = sc.Close() // released by its owner, and not poolable
+			}
 			sc.dom.mu.Unlock()
 			sc.rt.wake()
 		}

@@ -296,3 +296,82 @@ func TestGatedStreamReadLoopPausesAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A connection parked from inside its own receive handler — a session
+// finishing on the reply it was waiting for — must not deadlock on the
+// handler's dispatch domain: the park completes when the handler
+// returns, and the next detached dial reuses the connection.
+func TestParkConnFromOwnHandler(t *testing.T) {
+	rt := New()
+	srv, _ := rt.NewNode("srv")
+	l, err := srv.ListenStream(0, nil, func(c netapi.Conn, data []byte) {
+		if data != nil {
+			_ = c.Send(append([]byte("re:"), data...))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	dest := netapi.Addr{IP: "127.0.0.1", Port: l.(interface{ Addr() netapi.Addr }).Addr().Port}
+
+	cliNode, _ := rt.NewNode("cli")
+	cli := netapi.Detach(cliNode)
+	parked := make(chan bool, 1)
+	conn1, err := cli.DialStream(dest, func(c netapi.Conn, data []byte) {
+		if data != nil {
+			parked <- cliNode.(netapi.ConnParker).ParkConn(c)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn1.Send([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ok := <-parked:
+		if !ok {
+			t.Fatal("a clean dialed connection must be parkable from its handler")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ParkConn from the connection's own handler did not return")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rt.stateMu.Lock()
+		n := len(rt.parked[dest.Port])
+		rt.stateMu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the park did not complete after the handler returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got := make(chan string, 1)
+	conn2, err := cli.DialStream(dest, func(c netapi.Conn, data []byte) {
+		if data != nil {
+			got <- string(data)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	if conn2.LocalAddr() != conn1.LocalAddr() {
+		t.Fatalf("expected connection reuse: %v vs %v", conn2.LocalAddr(), conn1.LocalAddr())
+	}
+	if err := conn2.Send([]byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if r != "re:two" {
+			t.Fatalf("reply = %q", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no reply on the reused connection")
+	}
+}

@@ -107,8 +107,8 @@ const metaBytesMax = uint64(1)<<48 - 1
 // concurrent recording and dumping never tear a single word. A dump
 // racing a wrap-around overwrite can pair one slot's old offset with
 // its new metadata — visible only in live dumps of still-active
-// sessions, never in a failure dump, where the session goroutine has
-// stopped recording.
+// sessions, never in a failure dump, where the session has finished
+// and stopped recording.
 type slot struct {
 	at   atomic.Int64
 	meta atomic.Uint64 // stage<<56 | outcome<<48 | bytes

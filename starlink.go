@@ -86,15 +86,18 @@
 //
 // Each case runs its own Automata Engine, a concurrent session
 // runtime. Each initiator request opens a session keyed by (entry
-// color, origin address) in the case's sharded session table; each
-// session executes its receive→translate→compose loop on its own
-// goroutine, fed by a bounded inbox channel. A max-sessions semaphore
-// (WithMaxSessions, per case) bounds the live-session population on
-// top of the lanes. Both bounds surface as drops tagged ErrOverloaded,
-// so overload degrades into dropped requests rather than unbounded
-// memory growth. Timers and requester payloads post events into the
-// session inbox instead of touching session state, so session state
-// needs no locks. On the virtual-clock simulator the engine reports
+// color, origin address) in the case's sharded session table. A
+// session has no goroutine of its own: it is a state machine taking
+// one step per event, run inline by whoever delivers the event — the
+// ingest worker, the requester socket's callback, the node timer. An
+// event posted while a step of the session runs is queued for that
+// step's caller, so one session's steps never overlap; at most 64
+// payloads may wait, and fired timers are never bounded. A
+// max-sessions semaphore (WithMaxSessions, per case) bounds the
+// live-session population on top of the lanes. Both bounds surface as
+// drops tagged ErrOverloaded, so overload degrades into dropped
+// requests rather than unbounded memory growth. On the virtual-clock
+// simulator the engine reports
 // in-flight work through a work tracker, which keeps simulated runs
 // deterministic; see README.md for the full lifecycle.
 //
